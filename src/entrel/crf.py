@@ -20,10 +20,11 @@ MASK_PENALTY = -1e9  # additive penalty for classes disallowed at a position
 ENUMERATION_LIMIT = 32  # brute-force oracle refuses larger class spaces
 
 
-def _check_shapes(d: np.ndarray, q: np.ndarray) -> int:
-    if d.ndim != 2 or d.shape[0] != SEQ_LEN:
+def _check_shapes(d: np.ndarray, q: np.ndarray, ndim: int = 2) -> int:
+    """Class count N of score sequences d [..., 3, N] with ndim axes."""
+    if d.ndim != ndim or d.shape[-2] != SEQ_LEN:
         raise ValueError(f"score sequence must be {SEQ_LEN}xN, got {d.shape}")
-    n = d.shape[1]
+    n = d.shape[-1]
     if q.shape != (n + 2, n + 2):
         raise ValueError(
             f"transition matrix must be {(n + 2, n + 2)} for {n} classes, got {q.shape}"
@@ -123,8 +124,11 @@ def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold):
 
 
 def apply_position_mask(d: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Additively penalize disallowed classes per position (finite, not -inf)."""
-    if allowed.shape != d.shape:
+    """Additively penalize disallowed classes per position (finite, not -inf).
+
+    d is one score sequence [3, N] or a batch [B, 3, N]; allowed is [3, N].
+    """
+    if allowed.shape != d.shape[-2:]:
         raise ValueError(f"mask shape {allowed.shape} != scores shape {d.shape}")
     return np.where(allowed, d, d + MASK_PENALTY)
 
@@ -132,29 +136,39 @@ def apply_position_mask(d: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None):
     """Highest-scoring label triple and its score.
 
-    Ties resolve to the lowest class index at the earliest differing
-    position (the lexicographically smallest optimal sequence), which is
-    what a first-occurrence argmax over the full enumeration returns.
+    d is one score sequence [3, N], giving ((y1, y2, y3), score), or a batch
+    [B, 3, N], giving (best [B, 3] ints, scores [B]); each batch row decodes
+    exactly as it would alone. Ties resolve to the lowest class index at the
+    earliest differing position (the lexicographically smallest optimal
+    sequence), which is what a first-occurrence argmax over the full
+    enumeration returns.
     """
-    n = _check_shapes(d, q)
+    single = d.ndim == 2
+    batch = d[None] if single else d
+    n = _check_shapes(batch, q, ndim=3)
     if allowed is not None:
-        d = apply_position_mask(d, allowed)
+        batch = apply_position_mask(batch, allowed)
     begin, end = n, n + 1
     inner = q[:n, :n]
     # suffix DP so the earliest position is decided first; np.argmax takes
     # the first (lowest-index) maximum
-    gamma = d[SEQ_LEN - 1] + q[:n, end]
+    gamma = batch[:, SEQ_LEN - 1] + q[:n, end]
     backptr = []
     for i in range(SEQ_LEN - 2, -1, -1):
-        cand = inner + gamma[None, :]
-        backptr.append(np.argmax(cand, axis=1))
-        gamma = d[i] + cand.max(axis=1)
+        cand = inner + gamma[:, None, :]
+        backptr.append(np.argmax(cand, axis=2))
+        gamma = batch[:, i] + cand.max(axis=2)
     backptr.reverse()
     first = q[begin, :n] + gamma
-    y1 = int(np.argmax(first))
-    y2 = int(backptr[0][y1])
-    y3 = int(backptr[1][y2])
-    return (y1, y2, y3), float(first[y1])
+    rows = np.arange(len(batch))
+    y1 = np.argmax(first, axis=1)
+    y2 = backptr[0][rows, y1]
+    y3 = backptr[1][rows, y2]
+    best = np.stack([y1, y2, y3], axis=1)
+    scores = first[rows, y1]
+    if single:
+        return tuple(int(v) for v in best[0]), float(scores[0])
+    return best, scores
 
 
 def enumerate_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -16,14 +16,25 @@ import numpy as np
 
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit shape validation."""
+    """Matrix-vector product with explicit shape validation.
+
+    x is one vector [cols] (giving [rows]) or a batch of vectors [B, cols]
+    (giving [B, rows], row b being m @ x[b]).
+    """
     m = np.asarray(m)
     x = np.asarray(x)
-    if m.ndim != 2 or x.ndim != 1 or m.shape[1] != x.shape[0]:
+    if m.ndim != 2 or x.ndim not in (1, 2) or m.shape[1] != x.shape[-1]:
         raise ValueError(
             f"matvec shape mismatch: matrix {m.shape} vs vector {x.shape}"
         )
-    return m @ x
+    return m @ x if x.ndim == 1 else x @ m.T
+
+
+def _im2col(seq: np.ndarray, width: int) -> np.ndarray:
+    """[L, emb] -> [L-w+1, w*emb]: row t holds seq[t], ..., seq[t+w-1]."""
+    length, emb = seq.shape
+    windows = np.lib.stride_tricks.sliding_window_view(seq, width, axis=0)  # [T, emb, w]
+    return windows.transpose(0, 2, 1).reshape(length - width + 1, width * emb)
 
 
 def conv1d(seq: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -43,18 +54,16 @@ def conv1d(seq: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray
             f"conv1d: sequence length {length} < filter width {width} "
             "(padding must prevent this)"
         )
-    # windows[t] = seq[t:t+w]; shape [L-w+1, emb, w]
-    windows = np.lib.stride_tricks.sliding_window_view(seq, width, axis=0)
-    return np.einsum("tew,fwe->tf", windows, filters) + bias
+    # one matrix product over the unrolled windows
+    return _im2col(seq, width) @ filters.reshape(nk, width * emb).T + bias
 
 
 def conv1d_backward(grad_out: np.ndarray, seq: np.ndarray, filters: np.ndarray):
     """Gradients of conv1d w.r.t. (seq, filters, bias) given upstream grad_out."""
-    nk, width, _ = filters.shape
+    nk, width, emb = filters.shape
     steps = grad_out.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(seq, width, axis=0)
     grad_bias = grad_out.sum(axis=0)
-    grad_filters = np.einsum("tf,tew->fwe", grad_out, windows)
+    grad_filters = (grad_out.T @ _im2col(seq, width)).reshape(nk, width, emb)
     grad_seq = np.zeros_like(seq)
     for i in range(width):
         grad_seq[i : i + steps] += grad_out @ filters[:, i, :]
@@ -64,28 +73,34 @@ def conv1d_backward(grad_out: np.ndarray, seq: np.ndarray, filters: np.ndarray):
 def kmax_pool(seq: np.ndarray, k: int):
     """Per-column k-max pooling preserving original sequence order.
 
-    Returns (out [k, nk], sel [k, nk]) where sel holds the selected row index
-    per slot, or -1 for zero-padded slots (used when the input has fewer than
-    k rows). Ties select the earlier index.
+    seq is [rows, nk], or a batch [..., rows, nk] pooled item by item.
+    Returns (out [..., k, nk], sel [..., k, nk]) where sel holds the selected
+    row index per slot, or -1 for zero-padded slots (used when the input has
+    fewer than k rows). Ties select the earlier index.
     """
     if k < 1:
         raise ValueError(f"kmax_pool: k must be >= 1, got {k}")
-    rows, nk = seq.shape
+    rows, nk = seq.shape[-2:]
     if rows <= k:
-        out = np.zeros((k, nk), dtype=seq.dtype)
-        out[:rows] = seq
-        sel = np.full((k, nk), -1, dtype=np.intp)
-        sel[:rows] = np.arange(rows)[:, None]
+        out = np.zeros(seq.shape[:-2] + (k, nk), dtype=seq.dtype)
+        out[..., :rows, :] = seq
+        sel = np.full(out.shape, -1, dtype=np.intp)
+        sel[..., :rows, :] = np.arange(rows)[:, None]
         return out, sel
     # stable sort on negated values: equal values keep the earlier index
-    top = np.argsort(-seq, axis=0, kind="stable")[:k]
-    sel = np.sort(top, axis=0)
-    return np.take_along_axis(seq, sel, axis=0), sel
+    top = np.argsort(-seq, axis=-2, kind="stable")[..., :k, :]
+    sel = np.sort(top, axis=-2)
+    return np.take_along_axis(seq, sel, axis=-2), sel
 
 
 def kmax_pool_backward(grad_out: np.ndarray, sel: np.ndarray, input_rows: int) -> np.ndarray:
-    """Route pooled gradients back to the selected input rows, zero elsewhere."""
-    k, nk = grad_out.shape
+    """Route pooled gradients back to the selected input rows, zero elsewhere.
+
+    grad_out and sel are [..., k, nk]; every leading item routes into the
+    same [input_rows, nk] gradient, so sel of a batch indexes one shared
+    input.
+    """
+    nk = grad_out.shape[-1]
     grad_seq = np.zeros((input_rows, nk), dtype=grad_out.dtype)
     valid = sel >= 0
     cols = np.broadcast_to(np.arange(nk), sel.shape)

@@ -7,6 +7,12 @@ output projection: the per-part pooled features concatenate into a context
 group and an entity group, each goes through its own tanh hidden layer, and
 the two hidden vectors concatenate before the linear output map onto the
 full unified label space.
+
+Every part is a prefix, a suffix or a span of the query's sentence, so a
+``SentenceEncoding`` runs each CNN once over the sentence and pools each part
+from a row slice of that conv. Training encodes one query at a time;
+``predict_queries`` encodes each sentence once for all its queries and
+decodes them as one batch.
 """
 
 import json
@@ -28,12 +34,12 @@ from entrel.kernels import (
     softmax,
     tanh_backward,
 )
-from entrel.querygen import Query, entity_parts, split_context
+from entrel.querygen import Query, check_spans
 
 TASKS = ("ec", "re")
-# part-role layout per task: which parts feed the context CNN vs entity CNN
-_CTX_PART_SLOTS = {"ec": (0, 2), "re": (0, 2, 3, 5)}
-_ENT_PART_SLOTS = {"ec": (1,), "re": (1, 4)}
+# entity spans per task input: EC encodes one span, RE an ordered pair; each
+# span brings two context parts (left, right) and one entity part
+_TASK_SPANS = {"ec": 1, "re": 2}
 
 # Tuned layer sizes per (output layer, setup): nk_c, nk_e, h_c, h_e
 _DEFAULT_SIZES = {
@@ -78,10 +84,10 @@ class HyperParams:
         return np.float64 if self.dtype == "float64" else np.float32
 
     def ctx_in(self, task: str) -> int:
-        return len(_CTX_PART_SLOTS[task]) * self.k * self.nk_c
+        return 2 * _TASK_SPANS[task] * self.k * self.nk_c
 
     def ent_in(self, task: str) -> int:
-        return len(_ENT_PART_SLOTS[task]) * self.k * self.nk_e
+        return _TASK_SPANS[task] * self.k * self.nk_e
 
 
 class ModelParams:
@@ -96,6 +102,7 @@ class ModelParams:
         self.label_space = label_space
         self.embeddings = embeddings
         self._tensors = tensors
+        self._triples = {}
         names = list(tensors)
         if len(set(names)) != len(names):
             raise ValueError("duplicate tensor names")
@@ -132,6 +139,11 @@ class ModelParams:
     @property
     def transitions(self) -> ParamTensor:
         return self["transitions"]
+
+    def shared_triple(self, triple: tuple) -> tuple:
+        """The one tuple this model hands out for a decoded triple, so that
+        kept predictions share storage instead of holding a copy each."""
+        return self._triples.setdefault(triple, triple)
 
 
 def tensor_shapes(hyper: HyperParams, label_space: LabelSpace, n_emb_rows: int):
@@ -183,65 +195,144 @@ def init_params(hyper: HyperParams, label_space: LabelSpace,
     return ModelParams(hyper, label_space, embeddings, tensors)
 
 
-def _embed_part(tokens, params: ModelParams, width: int):
-    """Embed one token sequence, right-padding with zero rows up to the
-    filter width. Returns (row ids with -1 for padding, [max(L,w), emb])."""
-    table = params.embeddings
-    emb = params["embeddings"].value
-    ids = [table.lookup(tok) for tok in tokens]
-    rows = max(len(ids), width)
-    mat = np.zeros((rows, emb.shape[1]), dtype=emb.dtype)
-    if ids:
-        mat[: len(ids)] = emb[ids]
-    padded_ids = np.array(ids + [-1] * (rows - len(ids)), dtype=np.intp)
-    return padded_ids, mat
+def _cnn_layout(n_tokens: int, parts, width: int):
+    """Input rows of one CNN pass over a sentence, and the conv rows of each part.
 
+    A part (a, b) at least ``width`` tokens long is a row slice of the
+    sentence's own narrow conv: conv(tokens[a:b]) == conv(tokens)[a : b-width+1].
+    A shorter part, empty ones included, gets its own copy right-padded with
+    zero rows to ``width``, appended after the sentence, whose single conv row
+    is the zero-padded conv of that part alone. Conv rows that straddle two
+    segments are computed but never pooled.
 
-def _run_cnn(parts, params, filters, bias, width, k):
-    """Embed, convolve and pool each part; returns flat features + cache."""
-    flats, caches = [], []
-    for tokens in parts:
-        ids, mat = _embed_part(tokens, params, width)
-        conv = conv1d(mat, filters.value, bias.value)
-        pooled, sel = kmax_pool(conv, k)
-        flats.append(pooled.ravel())
-        caches.append({"ids": ids, "mat": mat, "sel": sel,
-                       "conv_rows": conv.shape[0], "pooled": pooled})
-    return np.concatenate(flats), caches
-
-
-def encode_task(parts, task: str, params: ModelParams):
-    """Task representation h_z for the given sentence parts.
-
-    The entity-classification path takes 3 parts (left, entity, right); the
-    relation path takes the 6-part context split. Entity parts go through
-    the entity CNN, context parts through the context CNN; each group's
-    pooled features feed a tanh hidden layer and the two hidden vectors
-    concatenate.
+    Returns (token position per input row, -1 for a zero row;
+    [start, stop) conv rows per part).
     """
-    hyper = params.hyper
-    expected = 3 if task == "ec" else 6
-    if task not in TASKS or len(parts) != expected:
-        raise ValueError(f"task {task!r} expects {expected} parts, got {len(parts)}")
-    ctx_parts = [parts[i] for i in _CTX_PART_SLOTS[task]]
-    ent_parts = [parts[i] for i in _ENT_PART_SLOTS[task]]
-    ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
+    positions = list(range(n_tokens)) if any(b - a >= width for a, b in parts) else []
+    windows = []
+    for a, b in parts:
+        if b - a >= width:
+            windows.append((a, b - width + 1))
+            continue
+        windows.append((len(positions), len(positions) + 1))
+        positions.extend(range(a, b))
+        positions.extend([-1] * (width - (b - a)))
+    return np.array(positions, dtype=np.intp), windows
 
-    ctx_concat, ctx_caches = _run_cnn(
-        ctx_parts, params, params["ctx_filters"], params["ctx_bias"], hyper.ctx_width, hyper.k
-    )
-    ent_concat, ent_caches = _run_cnn(
-        ent_parts, params, params["ent_filters"], params["ent_bias"], hyper.ent_width, hyper.k
-    )
+
+def _pool_windows(conv, windows, k):
+    """k-max pool each [start, stop) row window of conv, one kmax_pool call
+    per window length. Returns pooled [P, k, nk] and the selected conv rows
+    [P, k, nk] (-1 for zero-padded slots)."""
+    starts = np.array([start for start, _ in windows], dtype=np.intp)
+    lengths = np.array([stop - start for start, stop in windows], dtype=np.intp)
+    shape = (len(windows), k, conv.shape[1])
+    pooled = np.empty(shape, dtype=conv.dtype)
+    sel = np.empty(shape, dtype=np.intp)
+    for length in np.unique(lengths):
+        members = np.flatnonzero(lengths == length)
+        first = starts[members, None]
+        out, picked = kmax_pool(conv[first + np.arange(length)], k)
+        pooled[members] = out
+        sel[members] = np.where(picked >= 0, picked + first[:, None], -1)
+    return pooled, sel
+
+
+class _CnnPass:
+    """One CNN run once over a sentence, pooled for a list of parts.
+
+    ``features`` holds each span's pooled parts, flattened in part order.
+    Gradients on them accumulate in ``grad_pooled`` until ``backward``.
+    """
+
+    def __init__(self, ids, params: ModelParams, prefix: str, width: int, parts, n_spans: int):
+        self.filters = params[f"{prefix}_filters"]
+        self.bias = params[f"{prefix}_bias"]
+        emb = params["embeddings"].value
+        positions, windows = _cnn_layout(len(ids), parts, width)
+        real = positions >= 0
+        self.row_ids = np.full(len(positions), -1, dtype=np.intp)
+        self.row_ids[real] = ids[positions[real]]
+        self.mat = np.zeros((len(positions), emb.shape[1]), dtype=emb.dtype)
+        self.mat[real] = emb[self.row_ids[real]]
+        conv = conv1d(self.mat, self.filters.value, self.bias.value)
+        self.conv_rows = conv.shape[0]
+        self.pooled, self.sel = _pool_windows(conv, windows, params.hyper.k)
+        self.features = self.pooled.reshape(n_spans, -1)
+        self.grad_pooled = None
+
+    def add_grad(self, span_ids, grad_concat):
+        """Accumulate the gradient of features[span_ids] flattened per input."""
+        if self.grad_pooled is None:
+            self.grad_pooled = np.zeros_like(self.pooled)
+        grad = self.grad_pooled.reshape(self.features.shape)
+        np.add.at(grad, span_ids, grad_concat.reshape(span_ids.shape + (-1,)))
+
+    def backward(self, params: ModelParams):
+        """Push the accumulated pooled gradient back through pooling, the
+        conv and the embedding lookup: one call of each per pass."""
+        if self.grad_pooled is None:
+            return
+        grad_conv = kmax_pool_backward(self.grad_pooled, self.sel, self.conv_rows)
+        self.grad_pooled = None
+        grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, self.mat, self.filters.value)
+        self.filters.grad += grad_filters
+        self.bias.grad += grad_bias
+        if params.embeddings.trainable:
+            real = self.row_ids >= 0
+            np.add.at(params["embeddings"].grad, self.row_ids[real], grad_mat[real])
+
+
+class SentenceEncoding:
+    """Both CNNs run once over one sentence, pooled for a set of entity spans.
+
+    Span u = (s, e) owns three parts: the context CNN pools its left context
+    tokens[:s] and right context tokens[e:], the entity CNN pools the span
+    tokens[s:e]. An EC input is one span's parts and an RE input a span
+    pair's (left_i, mid_i = tokens[e_i:], left_j, right_j; ent_i, ent_j), so
+    every query over the sentence reads its features from here.
+    """
+
+    def __init__(self, tokens, spans, params: ModelParams):
+        hyper = params.hyper
+        ids = np.array([params.embeddings.lookup(tok) for tok in tokens], dtype=np.intp)
+        ctx_parts = [part for s, e in spans for part in ((0, s), (e, len(tokens)))]
+        self.ctx = _CnnPass(ids, params, "ctx", hyper.ctx_width, ctx_parts, len(spans))
+        self.ent = _CnnPass(ids, params, "ent", hyper.ent_width, list(spans), len(spans))
+
+    def backward(self, params: ModelParams):
+        """Accumulate both CNNs' gradients from what encode_task_backward routed here."""
+        self.ctx.backward(params)
+        self.ent.backward(params)
+
+
+def encode_task(enc: SentenceEncoding, task: str, span_ids, params: ModelParams):
+    """Task representations h_z [B, h_c + h_e] for B inputs over one sentence.
+
+    ``span_ids`` [B, S] indexes spans of ``enc``: one span per EC input, the
+    ordered pair (e1, e2) per RE input. The inputs' context parts and entity
+    parts are pooled features that ``enc`` holds; each group feeds its tanh
+    hidden layer and the two hidden vectors concatenate.
+    """
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    span_ids = np.asarray(span_ids, dtype=np.intp)
+    n_spans = _TASK_SPANS[task]
+    if span_ids.ndim != 2 or span_ids.shape[1] != n_spans:
+        raise ValueError(f"task {task!r} expects {n_spans} span(s) per input, "
+                         f"got span ids of shape {span_ids.shape}")
+    ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
+    ctx_concat = enc.ctx.features[span_ids].reshape(len(span_ids), -1)
+    ent_concat = enc.ent.features[span_ids].reshape(len(span_ids), -1)
     h_ctx = np.tanh(matvec(ctx_w.value.T, ctx_concat) + ctx_b.value)
     h_ent = np.tanh(matvec(ent_w.value.T, ent_concat) + ent_b.value)
-    h = np.concatenate([h_ctx, h_ent])
+    h = np.concatenate([h_ctx, h_ent], axis=1)
     cache = {
         "task": task,
+        "enc": enc,
+        "span_ids": span_ids,
         "ctx_concat": ctx_concat,
         "ent_concat": ent_concat,
-        "ctx_caches": ctx_caches,
-        "ent_caches": ent_caches,
         "h_ctx": h_ctx,
         "h_ent": h_ent,
     }
@@ -249,88 +340,82 @@ def encode_task(parts, task: str, params: ModelParams):
 
 
 def score_task(h, task: str, params: ModelParams):
-    """Linear map from the task representation onto the unified label space."""
+    """Linear map from task representations (one [H] or a batch [B, H])
+    onto the unified label space."""
     out = params.task_tensors(task)[4]
     return matvec(out.value.T, h)
 
 
-def _backward_cnn(grad_concat, caches, params, filters, bias, k):
-    """Split the concatenated feature gradient per part and push it back
-    through pooling, convolution and the embedding lookup."""
-    nk = filters.value.shape[0]
-    per_part = k * nk
-    emb = params["embeddings"]
-    scatter = params.embeddings.trainable
-    for idx, cache in enumerate(caches):
-        grad_flat = grad_concat[idx * per_part : (idx + 1) * per_part]
-        grad_pooled = grad_flat.reshape(k, nk)
-        grad_conv = kmax_pool_backward(grad_pooled, cache["sel"], cache["conv_rows"])
-        grad_seq, grad_filters, grad_bias = conv1d_backward(
-            grad_conv, cache["mat"], filters.value
-        )
-        filters.grad += grad_filters
-        bias.grad += grad_bias
-        if scatter:
-            ids = cache["ids"]
-            real = ids >= 0
-            if real.any():
-                np.add.at(emb.grad, ids[real], grad_seq[: len(ids)][real])
-
-
 def encode_task_backward(grad_h, cache, params: ModelParams):
-    """Accumulate gradients of one encode_task call into the param buffers."""
-    hyper = params.hyper
-    task = cache["task"]
-    ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
-    h_c = hyper.h_c
-    grad_pre_ctx = tanh_backward(cache["h_ctx"], grad_h[:h_c])
-    grad_pre_ent = tanh_backward(cache["h_ent"], grad_h[h_c:])
-    ctx_w.grad += np.outer(cache["ctx_concat"], grad_pre_ctx)
-    ctx_b.grad += grad_pre_ctx
-    ent_w.grad += np.outer(cache["ent_concat"], grad_pre_ent)
-    ent_b.grad += grad_pre_ent
-    grad_ctx_concat = ctx_w.value @ grad_pre_ctx
-    grad_ent_concat = ent_w.value @ grad_pre_ent
-    _backward_cnn(grad_ctx_concat, cache["ctx_caches"], params,
-                  params["ctx_filters"], params["ctx_bias"], hyper.k)
-    _backward_cnn(grad_ent_concat, cache["ent_caches"], params,
-                  params["ent_filters"], params["ent_bias"], hyper.k)
+    """Accumulate gradients of one encode_task call into the param buffers;
+    the pooled-feature gradient goes to the sentence encoding, whose
+    ``backward`` finishes the CNNs."""
+    ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(cache["task"])
+    h_c = params.hyper.h_c
+    grad_pre_ctx = tanh_backward(cache["h_ctx"], grad_h[:, :h_c])
+    grad_pre_ent = tanh_backward(cache["h_ent"], grad_h[:, h_c:])
+    ctx_w.grad += cache["ctx_concat"].T @ grad_pre_ctx
+    ctx_b.grad += grad_pre_ctx.sum(axis=0)
+    ent_w.grad += cache["ent_concat"].T @ grad_pre_ent
+    ent_b.grad += grad_pre_ent.sum(axis=0)
+    enc, span_ids = cache["enc"], cache["span_ids"]
+    enc.ctx.add_grad(span_ids, grad_pre_ctx @ ctx_w.value.T)
+    enc.ent.add_grad(span_ids, grad_pre_ent @ ent_w.value.T)
 
 
-def query_parts(query: Query):
-    """(e1 EC parts, RE six-part split, e2 EC parts) for one query."""
-    tokens = query.sentence.tokens
-    e1 = entity_parts(tokens, query.span_i)
-    e2 = entity_parts(tokens, query.span_j)
-    re_parts = split_context(tokens, query.span_i, query.span_j).parts()
-    return e1, re_parts, e2
+def _sentence_spans(queries):
+    """Sorted entity spans of queries over one sentence, and each query's
+    (span_i, span_j) as row indices into them."""
+    n_tokens = len(queries[0].sentence.tokens)
+    for query in queries:
+        check_spans(n_tokens, query.span_i, query.span_j)
+    spans = sorted({span for query in queries for span in (query.span_i, query.span_j)})
+    row = {span: index for index, span in enumerate(spans)}
+    pairs = np.array([(row[q.span_i], row[q.span_j]) for q in queries], dtype=np.intp)
+    return spans, pairs
+
+
+def _forward_sentence(queries, params: ModelParams):
+    """Score sequences [B, 3, N] of queries that share one sentence, plus
+    the cache backward_query needs.
+
+    The sentence is encoded once; each distinct entity span gets one EC
+    representation, each query one RE representation.
+    """
+    spans, pairs = _sentence_spans(queries)
+    enc = SentenceEncoding(queries[0].sentence.tokens, spans, params)
+    h_ec, c_ec = encode_task(enc, "ec", np.arange(len(spans))[:, None], params)
+    h_re, c_re = encode_task(enc, "re", pairs, params)
+    s_ec = score_task(h_ec, "ec", params)
+    s_re = score_task(h_re, "re", params)
+    d = np.stack([s_ec[pairs[:, 0]], s_re, s_ec[pairs[:, 1]]], axis=1)
+    cache = {"enc": enc, "pairs": pairs, "h": (h_ec, h_re), "tasks": (c_ec, c_re)}
+    return d, cache
 
 
 def forward_query(query: Query, params: ModelParams):
     """Score sequence d (3 x N): EC scores for e1, RE scores, EC scores for e2."""
-    e1_parts, re_parts, e2_parts = query_parts(query)
-    h1, c1 = encode_task(list(e1_parts), "ec", params)
-    hr, cr = encode_task(re_parts, "re", params)
-    h2, c2 = encode_task(list(e2_parts), "ec", params)
-    d = np.stack(
-        [score_task(h1, "ec", params), score_task(hr, "re", params), score_task(h2, "ec", params)]
-    )
-    cache = {"h": (h1, hr, h2), "enc": (c1, cr, c2)}
-    return d, cache
+    d, cache = _forward_sentence([query], params)
+    return d[0], cache
 
 
 def backward_query(grad_d, cache, params: ModelParams):
     """Push a gradient on the score sequence back into all parameters."""
     if cache is None:
         raise RuntimeError("backward_query called before forward_query")
-    tasks = ("ec", "re", "ec")
-    for row in range(3):
-        task = tasks[row]
+    pairs = cache["pairs"]
+    h_ec, h_re = cache["h"]
+    grad_d = grad_d.reshape(len(pairs), 3, -1)
+    grad_ec = np.zeros((len(h_ec), grad_d.shape[2]), dtype=grad_d.dtype)
+    np.add.at(grad_ec, pairs[:, 0], grad_d[:, 0])
+    np.add.at(grad_ec, pairs[:, 1], grad_d[:, 2])
+    for task, h, grad_scores, task_cache in zip(
+        TASKS, (h_ec, h_re), (grad_ec, grad_d[:, 1]), cache["tasks"]
+    ):
         out = params.task_tensors(task)[4]
-        h = cache["h"][row]
-        out.grad += np.outer(h, grad_d[row])
-        grad_h = out.value @ grad_d[row]
-        encode_task_backward(grad_h, cache["enc"][row], params)
+        out.grad += h.T @ grad_scores
+        encode_task_backward(grad_scores @ out.value.T, task_cache, params)
+    cache["enc"].backward(params)
 
 
 def gold_indices(query: Query, label_space: LabelSpace):
@@ -339,11 +424,6 @@ def gold_indices(query: Query, label_space: LabelSpace):
         label_space.unified(query.gold_rel),
         label_space.unified(query.gold_t2),
     )
-
-
-def crf_loss_and_grad(d, params: ModelParams, gold):
-    loss, grad_d, grad_q = crf.nll_and_gradients(d, params.transitions.value, gold)
-    return loss, grad_d, grad_q
 
 
 def softmax_forward(query: Query, params: ModelParams):
@@ -377,26 +457,39 @@ def softmax_loss_and_grad(d, label_space: LabelSpace, gold):
 
 
 def decode_query(d, params: ModelParams, masked: bool = False):
-    """Predicted (t1, r, t2) unified indices for one score sequence."""
+    """Predicted (t1, r, t2) unified indices for one score sequence [3, N],
+    or a list of them for a batch [B, 3, N]."""
     ls = params.label_space
+    batch = d if d.ndim == 3 else d[None]
     if params.hyper.output_layer == "softmax":
         n_ec = ls.n_ec
-        return (
-            int(np.argmax(d[0, :n_ec])),
-            n_ec + int(np.argmax(d[1, n_ec:])),
-            int(np.argmax(d[2, :n_ec])),
-        )
-    allowed = ls.position_mask() if masked else None
-    best, _ = crf.viterbi(d, params.transitions.value, allowed)
-    return best
+        best = np.stack([
+            np.argmax(batch[:, 0, :n_ec], axis=1),
+            n_ec + np.argmax(batch[:, 1, n_ec:], axis=1),
+            np.argmax(batch[:, 2, :n_ec], axis=1),
+        ], axis=1)
+    else:
+        allowed = ls.position_mask() if masked else None
+        best, _ = crf.viterbi(batch, params.transitions.value, allowed)
+    triples = [params.shared_triple(tuple(row)) for row in best.tolist()]
+    return triples if d.ndim == 3 else triples[0]
 
 
 def predict_queries(queries, params: ModelParams, masked: bool = False):
-    """Decode a batch of queries into unified (t1, r, t2) index triples."""
-    preds = []
-    for query in queries:
-        d, _ = forward_query(query, params)
-        preds.append(decode_query(d, params, masked))
+    """Decode a batch of queries into unified (t1, r, t2) index triples.
+
+    Queries are grouped by sentence; each group is scored and decoded in one
+    go, so a query's prediction never depends on other sentences' queries
+    in the call.
+    """
+    groups = {}
+    for index, query in enumerate(queries):
+        groups.setdefault(id(query.sentence), []).append(index)
+    preds = [None] * len(queries)
+    for members in groups.values():
+        d, _ = _forward_sentence([queries[i] for i in members], params)
+        for index, pred in zip(members, decode_query(d, params, masked)):
+            preds[index] = pred
     return preds
 
 
@@ -448,30 +541,44 @@ def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | Non
 
 
 def load_checkpoint(directory):
-    """Load a checkpoint directory; validates shapes against the manifest."""
+    """Load a checkpoint directory; validates the tensor names and shapes
+    against the model the manifest describes."""
     directory = Path(directory)
     with open(directory / MANIFEST_NAME, encoding="utf-8") as handle:
         manifest = json.load(handle)
     hyper = HyperParams(**manifest["hyperparams"])
     ls = LabelSpace(tuple(manifest["ec_labels"]), tuple(manifest["re_labels"]))
     code = _DTYPE_CODES[manifest["dtype"]]
-    raw = (directory / PARAMS_NAME).read_bytes()
-    if len(raw) != manifest["total_bytes"]:
+    path = directory / PARAMS_NAME
+    size = path.stat().st_size
+    if size != manifest["total_bytes"]:
         raise ValueError(
-            f"checkpoint payload is {len(raw)} bytes, manifest says {manifest['total_bytes']}"
+            f"checkpoint payload is {size} bytes, manifest says {manifest['total_bytes']}"
         )
     vocab = {word: row for word, row in manifest["vocab"]}
+    entries = {entry["name"]: entry for entry in manifest["tensors"]}
+    n_emb_rows = entries["embeddings"]["shape"][0] if "embeddings" in entries else 0
+    expected = tensor_shapes(hyper, ls, n_emb_rows)
+    unexpected = sorted(set(entries) - {name for name, _ in expected})
+    if unexpected:
+        raise ValueError(f"checkpoint manifest has unexpected tensor {unexpected[0]}")
     tensors = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        value = np.frombuffer(raw, dtype=code, count=count, offset=start).reshape(shape).copy()
-        tensors[entry["name"]] = ParamTensor(entry["name"], value)
-    expected = dict(tensor_shapes(hyper, ls, tensors["embeddings"].shape[0]))
-    for name, tensor in tensors.items():
-        if name not in expected or tuple(expected[name]) != tensor.shape:
-            raise ValueError(f"tensor {name} has shape {tensor.shape}, manifest/model disagree")
+    # each tensor is read straight into its own array; the payload is never
+    # held whole beside them
+    with open(path, "rb") as handle:
+        for name, shape in expected:
+            entry = entries.get(name)
+            if entry is None:
+                raise ValueError(f"checkpoint manifest lacks tensor {name}")
+            if tuple(entry["shape"]) != shape:
+                raise ValueError(f"tensor {name} has shape {tuple(entry['shape'])}, "
+                                 f"manifest/model disagree")
+            count = int(np.prod(shape))
+            handle.seek(entry["offset"])
+            value = np.fromfile(handle, dtype=code, count=count)
+            if value.size != count:
+                raise ValueError(f"tensor {name} runs past the end of the checkpoint payload")
+            tensors[name] = ParamTensor(name, value.reshape(shape))
     embeddings = EmbeddingTable(
         hyper.emb_dim,
         vocab,

@@ -81,7 +81,8 @@ class TableSpec:
         return m * (m + 1) // 2
 
 
-def _check_spans(n_tokens, span_i, span_j):
+def check_spans(n_tokens, span_i, span_j):
+    """Raise QueryError unless both spans lie in the sentence, ordered and disjoint."""
     si, ei = span_i
     sj, ej = span_j
     if not (0 <= si < ei <= n_tokens and 0 <= sj < ej <= n_tokens):
@@ -93,7 +94,7 @@ def _check_spans(n_tokens, span_i, span_j):
 def split_context(tokens, span_i, span_j) -> ContextSplit:
     """Six-part split around an ordered entity pair (empty parts allowed)."""
     tokens = list(tokens)
-    _check_spans(len(tokens), span_i, span_j)
+    check_spans(len(tokens), span_i, span_j)
     si, ei = span_i
     sj, ej = span_j
     return ContextSplit(

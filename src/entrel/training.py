@@ -89,11 +89,15 @@ def query_loss(query, params: ModelParams) -> float:
 def sgd_step(params: ModelParams, lr: float, l2: float):
     """theta <- theta - lr * (grad + l2 * theta) for every trainable tensor.
 
-    Gradient buffers must already hold the batch mean.
+    Gradient buffers must already hold the batch mean. Every gradient is
+    checked before any tensor moves, so a non-finite one leaves the
+    parameters as they were.
     """
-    for tensor in params.trainable_tensors():
+    trainable = params.trainable_tensors()
+    for tensor in trainable:
         if not np.isfinite(tensor.grad).all():
             raise RuntimeError(f"non-finite gradient in tensor {tensor.name}")
+    for tensor in trainable:
         tensor.value -= lr * (tensor.grad + l2 * tensor.value)
 
 

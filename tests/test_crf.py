@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrel import crf
 from entrel.corpus import LabelSpace
@@ -180,6 +181,39 @@ class TestViterbi:
             assert ls.is_ec_index(best[0])
             assert ls.is_re_index(best[1])
             assert ls.is_ec_index(best[2])
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 6), n=st.integers(1, 6), masked=st.booleans(),
+           coarse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_rows_and_enumeration(self, batch, n, masked, coarse, seed):
+        # coarse draws are small integers: sums are exact and ties are common,
+        # so the lowest-earliest tie-break is exercised
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            return rng.integers(-1, 2, size=shape).astype(float) if coarse else rng.normal(size=shape)
+
+        d = draw((batch, 3, n))
+        q = draw((n + 2, n + 2))
+        allowed = rng.random((3, n)) < 0.6 if masked else None
+        best, scores = crf.viterbi(d, q, allowed)
+        assert best.shape == (batch, 3) and scores.shape == (batch,)
+        for b in range(batch):
+            row_best, row_score = crf.viterbi(d[b], q, allowed)
+            assert tuple(int(v) for v in best[b]) == row_best
+            assert scores[b] == row_score
+            emissions = d[b] if allowed is None else crf.apply_position_mask(d[b], allowed)
+            oracle_best, oracle_score = crf.brute_force_best(emissions, q)
+            assert row_best == oracle_best
+            assert row_score == pytest.approx(oracle_score, abs=1e-6)
+
+    def test_batch_shape_errors(self):
+        q = np.zeros((6, 6))
+        with pytest.raises(ValueError):
+            crf.viterbi(np.zeros((2, 2, 4)), q)
+        with pytest.raises(ValueError, match="mask shape"):
+            crf.viterbi(np.zeros((2, 3, 4)), q, np.ones((2, 3, 4), dtype=bool))
 
 
 class TestMarginals:

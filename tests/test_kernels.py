@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entrel.kernels import (
     ParamTensor,
@@ -79,6 +79,19 @@ class TestMatvec:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
             matvec(np.zeros((2, 3)), np.zeros(2))
+
+    def test_batch_rows_match_single_vectors_exact(self):
+        rng = np.random.default_rng(13)
+        m = rng.integers(-10, 11, size=(5, 4)).astype(float)
+        xs = rng.integers(-10, 11, size=(3, 4)).astype(float)
+        out = matvec(m, xs)
+        assert out.shape == (3, 5)
+        for row, x in zip(out, xs):
+            assert np.array_equal(row, naive_matvec(m, x))
+
+    def test_batch_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="matvec shape mismatch"):
+            matvec(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestConv1d:
@@ -169,6 +182,27 @@ class TestKMaxPool:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             kmax_pool(np.zeros((3, 1)), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 4), rows=st.integers(1, 7), k=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_pools_item_by_item(self, batch, rows, k, seed):
+        # small integers make ties common
+        seqs = np.random.default_rng(seed).integers(-2, 3, size=(batch, rows, 3)).astype(float)
+        out, sel = kmax_pool(seqs, k)
+        assert out.shape == sel.shape == (batch, k, 3)
+        for b in range(batch):
+            item_out, item_sel = kmax_pool(seqs[b], k)
+            assert np.array_equal(out[b], item_out)
+            assert np.array_equal(sel[b], item_sel)
+
+    def test_backward_batch_routes_into_one_input(self):
+        # two pooled items select rows of one shared 4-row input; slots that
+        # pick the same row add up, padded slots route nowhere
+        sel = np.array([[[0], [2]], [[2], [-1]]])
+        grad_out = np.array([[[1.0], [2.0]], [[10.0], [99.0]]])
+        grad = kmax_pool_backward(grad_out, sel, 4)
+        assert grad[:, 0].tolist() == [1.0, 0.0, 12.0, 0.0]
 
 
 class TestLogsumexp:

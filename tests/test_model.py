@@ -1,7 +1,11 @@
+import functools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entrel import crf
+from entrel import crf, synth
 from entrel.corpus import (
     EntityMention,
     LabelSpace,
@@ -10,9 +14,10 @@ from entrel.corpus import (
     corpus_vocabulary,
     random_embeddings,
 )
-from entrel.kernels import rel_error
+from entrel.kernels import conv1d, conv1d_backward, kmax_pool, kmax_pool_backward, rel_error
 from entrel.model import (
     HyperParams,
+    SentenceEncoding,
     backward_query,
     decode_query,
     encode_task,
@@ -20,13 +25,13 @@ from entrel.model import (
     gold_indices,
     init_params,
     load_checkpoint,
-    query_parts,
+    predict_queries,
     save_checkpoint,
     score_task,
     softmax_forward,
     softmax_loss_and_grad,
 )
-from entrel.querygen import Query, gen_setup1
+from entrel.querygen import Query, QueryError, gen_setup1, gen_setup3
 
 from conftest import TINY_HYPER, finite_difference
 
@@ -80,29 +85,36 @@ class TestHyperParams:
 class TestEncode:
     def test_output_length_is_h_c_plus_h_e(self):
         params = make_params()
-        tokens = make_sentence().tokens
-        for span in ((1, 2), (4, 5)):
-            left, ent, right = query_parts(make_query())[0]
-            h, _ = encode_task([left, ent, right], "ec", params)
-            assert h.shape == (TINY_HYPER["h_c"] + TINY_HYPER["h_e"],)
-        h, _ = encode_task([()] * 6, "re", params)
-        assert h.shape == (TINY_HYPER["h_c"] + TINY_HYPER["h_e"],)
+        width = TINY_HYPER["h_c"] + TINY_HYPER["h_e"]
+        enc = SentenceEncoding(make_sentence().tokens, [(1, 2), (4, 5)], params)
+        h, _ = encode_task(enc, "ec", [[0], [1]], params)
+        assert h.shape == (2, width)
+        h, _ = encode_task(enc, "re", [[0, 1]], params)
+        assert h.shape == (1, width)
+        # a span covering the whole sentence leaves both contexts empty
+        enc = SentenceEncoding(("per1",), [(0, 1)], params)
+        h, _ = encode_task(enc, "ec", [[0]], params)
+        assert h.shape == (1, width)
 
     def test_zero_parameters_give_zero_representation(self):
         params = make_params()
         for tensor in params.all_tensors():
             tensor.value[...] = 0.0
-        h, _ = encode_task([("the",), ("per1",), ("lives",)], "ec", params)
+        enc = SentenceEncoding(("the", "per1", "lives"), [(1, 2)], params)
+        h, _ = encode_task(enc, "ec", [[0]], params)
         assert not h.any()
         d, _ = forward_query(make_query(), params)
         assert not d.any()
 
     def test_wrong_part_count_rejected(self):
         params = make_params()
-        with pytest.raises(ValueError, match="expects 3 parts"):
-            encode_task([(), ()], "ec", params)
-        with pytest.raises(ValueError, match="expects 6 parts"):
-            encode_task([()] * 3, "re", params)
+        enc = SentenceEncoding(make_sentence().tokens, [(1, 2), (4, 5)], params)
+        with pytest.raises(ValueError, match="expects 1 span"):
+            encode_task(enc, "ec", [[0, 1]], params)
+        with pytest.raises(ValueError, match="expects 2 span"):
+            encode_task(enc, "re", [[0]], params)
+        with pytest.raises(ValueError, match="unknown task"):
+            encode_task(enc, "xx", [[0]], params)
 
     def test_straight_line_oracle_ec_path(self):
         """Independent inline re-implementation of the EC path."""
@@ -182,14 +194,15 @@ class TestEncode:
         assert np.array_equal(dx[0], dy[2])
 
     def test_entity_cnn_shared_across_tasks(self):
+        # the RE input of (e1, e2) starts with e1's EC parts: its left and
+        # right context (left_i, mid_i) and its entity part (ent_i)
         params = make_params()
-        query = make_query()
-        e1_parts, re_parts, _ = query_parts(query)
-        _, ec_cache = encode_task(list(e1_parts), "ec", params)
-        _, re_cache = encode_task(re_parts, "re", params)
-        ec_pooled = ec_cache["ent_caches"][0]["pooled"]
-        re_pooled = re_cache["ent_caches"][0]["pooled"]  # ent_i, same span
-        assert np.array_equal(ec_pooled, re_pooled)
+        enc = SentenceEncoding(make_sentence().tokens, [(1, 2), (4, 5)], params)
+        _, ec_cache = encode_task(enc, "ec", [[0]], params)
+        _, re_cache = encode_task(enc, "re", [[0, 1]], params)
+        for key in ("ctx_concat", "ent_concat"):
+            ec_block = ec_cache[key][0]
+            assert np.array_equal(re_cache[key][0, : ec_block.size], ec_block)
 
     def test_forward_deterministic(self):
         params = make_params()
@@ -198,11 +211,138 @@ class TestEncode:
         d2, _ = forward_query(query, params)
         assert np.array_equal(d1, d2)
 
+    def test_invalid_spans_rejected(self):
+        params = make_params()
+        sentence = make_sentence()
+        for span_i, span_j in (((1, 3), (2, 4)), ((4, 5), (1, 2)), ((1, 2), (5, 7))):
+            query = Query(sentence, span_i, span_j, "O", "O", "O", 1)
+            with pytest.raises(QueryError):
+                forward_query(query, params)
+            with pytest.raises(QueryError):
+                predict_queries([query], params)
+
     def test_d_shape_3x11(self):
         params = make_params()
         d, _ = forward_query(make_query(), params)
         assert d.shape == (3, 11)
         assert np.isfinite(d).all()
+
+
+def embed_pad(ids, emb, width):
+    """Per-part input as the encoder once built it: the part's embedding rows,
+    right-padded with zero rows up to the filter width."""
+    mat = np.zeros((max(len(ids), width), emb.shape[1]))
+    mat[: len(ids)] = emb[list(ids)]
+    return mat
+
+
+class TestSentenceEncoding:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_slice_pooling_matches_per_part_conv(self, data):
+        """Pooled parts and their gradients equal a separate zero-padded
+        conv1d + kmax_pool per part, for spans and contexts of any length
+        (empty and shorter than the filter width included)."""
+        n_tokens = data.draw(st.integers(1, 9), label="n_tokens")
+        cuts = sorted(data.draw(st.sets(st.integers(0, n_tokens), min_size=2), label="cuts"))
+        spans = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts) - 1, 2)]
+        ctx_width = data.draw(st.integers(1, 4), label="ctx_width")
+        ent_width = data.draw(st.integers(1, 3), label="ent_width")
+        k = data.draw(st.integers(1, 4), label="k")
+        # small-integer values make every sum exact and conv ties common
+        exact = data.draw(st.booleans(), label="exact")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def draw(shape):
+            return rng.integers(-1, 2, size=shape).astype(float) if exact else rng.normal(size=shape)
+
+        def same(a, b):
+            return np.array_equal(a, b) if exact else np.allclose(a, b, rtol=0, atol=1e-10)
+
+        tokens = [f"w{i}" for i in rng.integers(0, 3, size=n_tokens)]
+        params = make_params(sentences=[Sentence("p", tokens, [], [])],
+                             ctx_width=ctx_width, ent_width=ent_width, k=k)
+        cnn_names = ("embeddings", "ctx_filters", "ctx_bias", "ent_filters", "ent_bias")
+        for name in cnn_names:
+            params[name].value[...] = draw(params[name].shape)
+        emb = params["embeddings"].value
+        ids = [params.embeddings.lookup(tok) for tok in tokens]
+
+        params.zero_grads()
+        enc = SentenceEncoding(tokens, spans, params)
+        expected = {name: np.zeros_like(params[name].value) for name in cnn_names}
+        for prefix, cnn, width, parts in (
+            ("ctx", enc.ctx, ctx_width, [p for s, e in spans for p in ((0, s), (e, n_tokens))]),
+            ("ent", enc.ent, ent_width, spans),
+        ):
+            filters = params[f"{prefix}_filters"].value
+            upstream = draw(cnn.pooled.shape)
+            for index, (a, b) in enumerate(parts):
+                mat = embed_pad(ids[a:b], emb, width)
+                conv = conv1d(mat, filters, params[f"{prefix}_bias"].value)
+                pooled, sel = kmax_pool(conv, k)
+                assert same(cnn.pooled[index], pooled), (prefix, a, b)
+                grad_conv = kmax_pool_backward(upstream[index], sel, conv.shape[0])
+                grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, mat, filters)
+                expected[f"{prefix}_filters"] += grad_filters
+                expected[f"{prefix}_bias"] += grad_bias
+                for row, tok_id in enumerate(ids[a:b]):
+                    expected["embeddings"][tok_id] += grad_mat[row]
+            cnn.add_grad(np.arange(len(spans))[:, None], upstream.reshape(len(spans), -1))
+        enc.backward(params)
+        for name in cnn_names:
+            assert same(params[name].grad, expected[name]), name
+
+
+@functools.lru_cache(maxsize=None)
+def predict_world(output_layer):
+    """A tiny model with spread-out random weights (so predictions vary) and
+    the setup-3 queries of five synthetic sentences."""
+    sentences = synth.generate(synth.default_grammar(seed=3), 5)
+    params = make_params(seed=21, sentences=sentences, output_layer=output_layer)
+    rng = np.random.default_rng(22)
+    for tensor in params.all_tensors():
+        tensor.value[...] = rng.normal(scale=0.7, size=tensor.shape)
+    return params, tuple(gen_setup3(sentences)[0])
+
+
+class TestPredictQueries:
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.randoms(use_true_random=False), keep=st.floats(0.1, 1.0),
+           masked=st.booleans(), output_layer=st.sampled_from(["crf", "softmax"]))
+    def test_multi_sentence_call_equals_per_sentence_calls(self, order, keep, masked,
+                                                         output_layer):
+        params, queries = predict_world(output_layer)
+        subset = [q for q in queries if order.random() < keep] or [queries[0]]
+        order.shuffle(subset)
+        preds = predict_queries(subset, params, masked)
+        assert len(preds) == len(subset)
+        for sentence in {id(q.sentence): q.sentence for q in subset}.values():
+            members = [i for i, q in enumerate(subset) if q.sentence is sentence]
+            alone = predict_queries([subset[i] for i in members], params, masked)
+            assert [preds[i] for i in members] == alone
+
+    @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_batched_decoding_matches_single_queries(self, output_layer, masked):
+        params, queries = predict_world(output_layer)
+        preds = predict_queries(queries, params, masked)
+        single = [decode_query(forward_query(q, params)[0], params, masked) for q in queries]
+        assert preds == single
+        assert len(set(preds)) > 1
+
+    def test_predictions_share_one_tuple_per_triple(self):
+        params, queries = predict_world("crf")
+        preds = predict_queries(queries, params) + predict_queries(queries, params)
+        shared = {}
+        for pred in preds:
+            assert type(pred) is tuple and all(type(v) is int for v in pred)
+            assert shared.setdefault(pred, pred) is pred
+        assert preds[0] == tuple(preds[0]) and hash(preds[0]) == hash(tuple(preds[0]))
+
+    def test_empty_batch(self):
+        params, _ = predict_world("crf")
+        assert predict_queries([], params) == []
 
 
 class TestScoreTask:
@@ -355,14 +495,22 @@ class TestCheckpoint:
         ).read_bytes()
 
     def test_shape_validation(self, tmp_path):
-        import json
-
         params = make_params(seed=14)
         save_checkpoint(tmp_path / "ck", params, seed=14)
         manifest = json.loads((tmp_path / "ck/manifest.json").read_text())
         manifest["tensors"][1]["shape"] = [1, 1, 1]
         (tmp_path / "ck/manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("dropped", [0, 3, -1])
+    def test_missing_tensor_named(self, tmp_path, dropped):
+        params = make_params(seed=16)
+        save_checkpoint(tmp_path / "ck", params, seed=16)
+        manifest = json.loads((tmp_path / "ck/manifest.json").read_text())
+        name = manifest["tensors"].pop(dropped)["name"]
+        (tmp_path / "ck/manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"lacks tensor {name}$"):
             load_checkpoint(tmp_path / "ck")
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -69,6 +69,21 @@ class TestSgdStep:
         with pytest.raises(RuntimeError, match="ec_out"):
             sgd_step(params, lr=0.1, l2=0.0)
 
+    def test_nonfinite_last_gradient_moves_nothing(self):
+        # every other tensor has a nonzero gradient and l2 > 0, so any update
+        # made before the check would move it
+        params, *_ = build()
+        trainable = params.trainable_tensors()
+        for tensor in trainable:
+            tensor.grad[...] = 1.0
+        last = trainable[-1]
+        last.grad.reshape(-1)[-1] = np.nan
+        before = {t.name: t.value.copy() for t in params.all_tensors()}
+        with pytest.raises(RuntimeError, match=last.name):
+            sgd_step(params, lr=0.1, l2=0.01)
+        for tensor in params.all_tensors():
+            assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
+
 
 class TestTrainLoop:
     def test_empty_train_set_is_config_error(self):
