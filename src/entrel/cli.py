@@ -2,8 +2,9 @@
 inspect-transitions, disagreement.
 
 Options can come from a JSON config file (--config, or the ENTREL_CONFIG
-environment variable); explicit flags always win. Exit codes: 0 success,
-1 runtime failure, 2 usage/config error.
+environment variable) whose keys are flag names with underscores; explicit
+flags always win, and a key that no command knows is a config error. Exit
+codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
 
 import argparse
@@ -46,23 +47,8 @@ DEFAULT_KEEP_PROB = 0.3  # train/dev negative subsampling for setups 2/3
 
 def _generate_queries(sentences, setup):
     if setup == 1:
-        return gen_setup1(sentences), None
-    if setup == 2:
-        return gen_setup2(sentences)
-    return gen_setup3(sentences)
-
-
-def _counts(sentences):
-    entity_counts = Counter()
-    relation_counts = Counter()
-    tokens = 0
-    for sentence in sentences:
-        tokens += len(sentence.tokens)
-        for ent in sentence.entities:
-            entity_counts[ent.type] += 1
-        for rel in sentence.relations:
-            relation_counts[rel.type] += 1
-    return tokens, entity_counts, relation_counts
+        return gen_setup1(sentences)
+    return (gen_setup2 if setup == 2 else gen_setup3)(sentences)[0]
 
 
 def cmd_convert(args) -> int:
@@ -75,24 +61,20 @@ def cmd_convert(args) -> int:
     )
     sentences = parse_raw(args.input, cmap)
     write_canonical(args.output, sentences)
-    tokens, entity_counts, relation_counts = _counts(sentences)
+    entity_counts = Counter(ent.type for sentence in sentences for ent in sentence.entities)
+    relation_counts = Counter(rel.type for sentence in sentences for rel in sentence.relations)
     print(f"sentences: {len(sentences)}")
-    print(f"tokens: {tokens}")
+    print(f"tokens: {sum(len(sentence.tokens) for sentence in sentences)}")
     for label in LabelSpace().ec_labels:
         print(f"entities[{label}]: {entity_counts.get(label, 0)}")
     for label in LabelSpace().re_labels:
         if label == NO_RELATION:
             continue
         print(f"relations[{label}]: {relation_counts.get(label, 0)}")
-    setup1 = gen_setup1(sentences)
-    print(f"queries[setup1]: {len(setup1)}")
-    print(f"N[setup1]: {sum(1 for q in setup1 if q.gold_rel == NO_RELATION)}")
-    setup2, _ = gen_setup2(sentences)
-    print(f"queries[setup2]: {len(setup2)}")
-    print(f"N[setup2]: {sum(1 for q in setup2 if q.gold_rel == NO_RELATION)}")
-    setup3, _ = gen_setup3(sentences)
-    print(f"queries[setup3]: {len(setup3)}")
-    print(f"N[setup3]: {sum(1 for q in setup3 if q.gold_rel == NO_RELATION)}")
+    for setup in (1, 2, 3):
+        queries = _generate_queries(sentences, setup)
+        print(f"queries[setup{setup}]: {len(queries)}")
+        print(f"N[setup{setup}]: {sum(1 for q in queries if q.gold_rel == NO_RELATION)}")
     return 0
 
 
@@ -119,7 +101,10 @@ def _hyper_from_args(args) -> model.HyperParams:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    return model.HyperParams.defaults_for(args.setup, args.output_layer, **overrides)
+    try:
+        return model.HyperParams.defaults_for(args.setup, args.output_layer, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
@@ -133,14 +118,13 @@ def cmd_train(args) -> int:
         max_epochs=args.max_epochs,
         seed=args.seed,
         setup=args.setup,
-        output_layer=args.output_layer,
         neg_keep_prob=args.keep_prob,
         masked_decode=args.masked_decode,
         freeze_embeddings=args.freeze_embeddings,
     )
 
-    train_queries, _ = _generate_queries(train_sentences, config.setup)
-    dev_queries, _ = _generate_queries(dev_sentences, config.setup)
+    train_queries = _generate_queries(train_sentences, config.setup)
+    dev_queries = _generate_queries(dev_sentences, config.setup)
     if config.setup == 1:
         if config.neg_keep_prob is not None:
             print("warning: --keep-prob ignored for setup 1", file=sys.stderr)
@@ -187,7 +171,7 @@ def _load_and_check(checkpoint):
 def cmd_eval(args) -> int:
     params, _ = _load_and_check(args.checkpoint)
     sentences = load_canonical(args.corpus)
-    queries, _ = _generate_queries(sentences, args.setup)
+    queries = _generate_queries(sentences, args.setup)
     ls = params.label_space
     if args.oracle:
         preds = [model.gold_indices(q, ls) for q in queries]
@@ -271,7 +255,7 @@ def cmd_inspect_transitions(args) -> int:
 def cmd_disagreement(args) -> int:
     params, _ = _load_and_check(args.checkpoint)
     sentences = load_canonical(args.corpus)
-    queries, _ = _generate_queries(sentences, args.setup)
+    queries = _generate_queries(sentences, args.setup)
     preds = model.predict_queries(queries, params, args.masked_decode)
     groups, _ = evaluation.assemble_votes(queries, preds, params.label_space)
     voted = [(evaluation.majority_vote(g.votes, params.label_space), g.votes)
@@ -292,15 +276,32 @@ def _add_common_model_flags(parser):
                         help="restrict decoding to task-valid classes per position")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entrel",
-        description="Joint entity classification and relation extraction toolkit",
-    )
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that records the destination of every value-carrying
+    argument added to it, so config-file keys can be checked against them."""
 
-    p = sub.add_parser("convert", help="parse a raw corpus into canonical JSONL")
+    def __init__(self, *args, **kwargs):
+        self.dests = set()  # before super().__init__, which adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:  # --help carries no value
+            self.dests.add(action.dest)
+        return action
+
+
+def build_parser():
+    """The top-level entrel parser, and the parser of each subcommand by name."""
+    commands = {}
+
+    def command(name, func, description):
+        p = _Parser(prog=f"entrel {name}", description=description)
+        p.set_defaults(func=func)
+        commands[name] = p
+        return p
+
+    p = command("convert", cmd_convert, "parse a raw corpus into canonical JSONL")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--sent-col", type=int, default=0)
@@ -308,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--idx-col", type=int, default=2)
     p.add_argument("--word-col", type=int, default=5)
     p.add_argument("--no-split-slash", action="store_true")
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("train", help="train a model on a canonical corpus")
+    p = command("train", cmd_train, "train a model on a canonical corpus")
     p.add_argument("--train", required=True)
     p.add_argument("--dev")
     p.add_argument("--embeddings")
@@ -331,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb-dim", type=int, default=None)
     p.add_argument("--freeze-embeddings", action="store_true")
     p.add_argument("--dump-queries", help="write generated train queries as JSONL")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a canonical corpus")
+    p = command("eval", cmd_eval, "evaluate a checkpoint on a canonical corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out")
@@ -341,68 +340,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="substitute gold labels for predictions (pipeline check)")
     _add_common_model_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="classify one sentence with two spans")
+    p = command("predict", cmd_predict, "classify one sentence with two spans")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sentence", required=True, help="space-separated tokens")
     p.add_argument("--span1", required=True, help="start:end token indices")
     p.add_argument("--span2", required=True)
     p.add_argument("--masked-decode", action="store_true")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient check")
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--queries", type=int, default=5)
     p.add_argument("--output-layer", choices=("crf", "softmax"), default="crf")
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("inspect-transitions", help="transition scores above a threshold")
+    p = command("inspect-transitions", cmd_inspect_transitions,
+                "transition scores above a threshold")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_inspect_transitions)
 
-    p = sub.add_parser("disagreement", help="entity-vote disagreement statistics")
+    p = command("disagreement", cmd_disagreement, "entity-vote disagreement statistics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     _add_common_model_flags(p)
-    p.set_defaults(func=cmd_disagreement)
 
-    return parser
+    parser = argparse.ArgumentParser(
+        prog="entrel",
+        description="Joint entity classification and relation extraction toolkit",
+        epilog="commands:\n" + "\n".join(f"  {name:<21}{p.description}"
+                                          for name, p in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("command", choices=commands)
+    parser.add_argument("args", nargs=argparse.REMAINDER, help="the command's own flags")
+    return parser, commands
 
 
-def _apply_config_file(parser, argv):
-    """Merge JSON config values under flag defaults; explicit flags win."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    path = known.config or os.environ.get(CONFIG_ENV)
+def _config_values(path, commands, command):
+    """The values a JSON config file sets for ``command``; {} without a file.
+
+    A key that no subcommand knows is a config error. Keys of other
+    subcommands are left out, so one file can serve several commands.
+    """
+    path = path or os.environ.get(CONFIG_ENV)
     if not path:
-        return argv
+        return {}
     with open(path, encoding="utf-8") as handle:
-        values = json.load(handle)
+        try:
+            values = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
-        for sub_parser in sub_action.choices.values():
-            defaults = {}
-            for action in sub_parser._actions:  # noqa: SLF001
-                key = action.dest.replace("-", "_")
-                if key in values:
-                    defaults[action.dest] = values[key]
-            if defaults:
-                sub_parser.set_defaults(**defaults)
-    return argv
+    unknown = sorted(set(values).difference(*(p.dests for p in commands.values())))
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key {unknown[0]!r}")
+    return {key: value for key, value in values.items() if key in command.dests}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        top = parser.parse_args(argv)
+        command = commands[top.command]
+        # argparse defaults, then config values, then explicit flags
+        command.set_defaults(**_config_values(top.config, commands, command))
+        args = command.parse_args(top.args)
         return args.func(args)
     except (ConfigError, QueryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,12 @@ extra rows/columns are the begin tag (index N) and end tag (index N+1).
 All functions are pure given (d, Q) and safe to call concurrently.
 """
 
-import itertools
-
 import numpy as np
 
 from entrel.kernels import logsumexp, logsumexp_rows
 
 SEQ_LEN = 3
 MASK_PENALTY = -1e9  # additive penalty for classes disallowed at a position
-ENUMERATION_LIMIT = 32  # brute-force oracle refuses larger class spaces
 
 
 def _check_shapes(d: np.ndarray, q: np.ndarray, ndim: int = 2) -> int:
@@ -54,14 +51,8 @@ def sequence_score(d: np.ndarray, y, q: np.ndarray) -> float:
 
 def forward_logZ(d: np.ndarray, q: np.ndarray) -> float:
     """Log-partition over all N^3 label triples via the forward algorithm."""
-    n = _check_shapes(d, q)
-    begin, end = n, n + 1
-    inner = q[:n, :n]
-    alpha = q[begin, :n] + d[0]
-    for i in range(1, SEQ_LEN):
-        # sum over the previous class: lse down each column of alpha[c] + Q[c, c']
-        alpha = logsumexp_rows((alpha[:, None] + inner).T) + d[i]
-    return logsumexp(alpha + q[:n, end])
+    _check_shapes(d, q)
+    return _forward_backward(d, q)[2]
 
 
 def _forward_backward(d: np.ndarray, q: np.ndarray):
@@ -169,52 +160,3 @@ def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None):
     if single:
         return tuple(int(v) for v in best[0]), float(scores[0])
     return best, scores
-
-
-def enumerate_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Explicit score of every label triple as an [N, N, N] array.
-
-    C-order flattening enumerates triples lexicographically, so a
-    first-occurrence argmax over the flat array matches viterbi's
-    tie-breaking. Refuses class spaces too large to enumerate.
-    """
-    n = _check_shapes(d, q)
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration oracle refuses N={n} > {ENUMERATION_LIMIT}")
-    begin, end = n, n + 1
-    inner = q[:n, :n]
-    first = q[begin, :n] + d[0]
-    return (
-        first[:, None, None]
-        + inner[:, :, None]
-        + d[1][None, :, None]
-        + inner[None, :, :]
-        + d[2][None, None, :]
-        + q[:n, end][None, None, :]
-    )
-
-
-def brute_force_logZ(d: np.ndarray, q: np.ndarray) -> float:
-    """Oracle log-partition: logsumexp over the explicit enumeration."""
-    return logsumexp(enumerate_scores(d, q).ravel())
-
-
-def brute_force_best(d: np.ndarray, q: np.ndarray):
-    """Oracle argmax: best triple by explicit enumeration, lexicographic ties."""
-    scores = enumerate_scores(d, q)
-    flat = int(np.argmax(scores))
-    best = np.unravel_index(flat, scores.shape)
-    return tuple(int(v) for v in best), float(scores[best])
-
-
-def brute_force_marginals(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Oracle marginals by summing exp(score - logZ) over enumerated paths."""
-    n = d.shape[1]
-    scores = enumerate_scores(d, q)
-    log_z = logsumexp(scores.ravel())
-    probs = np.exp(scores - log_z)
-    out = np.zeros((SEQ_LEN, n), dtype=d.dtype)
-    for y in itertools.product(range(n), repeat=SEQ_LEN):
-        for i in range(SEQ_LEN):
-            out[i, y[i]] += probs[y]
-    return out

@@ -16,7 +16,7 @@ decodes them as one batch.
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +103,6 @@ class ModelParams:
         self.embeddings = embeddings
         self._tensors = tensors
         self._triples = {}
-        names = list(tensors)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate tensor names")
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
@@ -426,17 +423,6 @@ def gold_indices(query: Query, label_space: LabelSpace):
     )
 
 
-def softmax_forward(query: Query, params: ModelParams):
-    """Baseline distributions: task-restricted score slices normalized
-    independently. Returns (p1, pr, p2, d, cache)."""
-    ls = params.label_space
-    d, cache = forward_query(query, params)
-    p1 = softmax(d[0, : ls.n_ec])
-    pr = softmax(d[1, ls.n_ec :])
-    p2 = softmax(d[2, : ls.n_ec])
-    return p1, pr, p2, d, cache
-
-
 def softmax_loss_and_grad(d, label_space: LabelSpace, gold):
     """Sum of the three slice cross-entropies and its gradient on d."""
     n_ec = label_space.n_ec
@@ -500,6 +486,9 @@ def predict_queries(queries, params: ModelParams, masked: bool = False):
 MANIFEST_NAME = "manifest.json"
 PARAMS_NAME = "params.bin"
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
+# the keys save_checkpoint writes, besides the optional "extra"
+_MANIFEST_KEYS = ("format", "seed", "dtype", "hyperparams", "ec_labels", "re_labels",
+                  "vocab", "unk_row", "embeddings_trainable", "tensors", "total_bytes")
 
 
 def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | None = None):
@@ -540,15 +529,36 @@ def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | Non
         handle.write("\n")
 
 
+def _check_keys(path, what, found, required, optional=(), kind="key"):
+    """Raise ValueError naming the first required key that ``found`` lacks,
+    or else the first key it has that is neither required nor optional."""
+    if not isinstance(found, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    missing = [key for key in required if key not in found]
+    if missing:
+        raise ValueError(f"{path}: {what} lacks {kind} {missing[0]}")
+    unknown = [key for key in found if key not in required and key not in optional]
+    if unknown:
+        raise ValueError(f"{path}: {what} has unknown {kind} {unknown[0]}")
+
+
 def load_checkpoint(directory):
-    """Load a checkpoint directory; validates the tensor names and shapes
-    against the model the manifest describes."""
+    """Load a checkpoint directory; validates the manifest's keys, then the
+    tensor names and shapes against the model the manifest describes."""
     directory = Path(directory)
-    with open(directory / MANIFEST_NAME, encoding="utf-8") as handle:
+    manifest_path = directory / MANIFEST_NAME
+    with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    _check_keys(manifest_path, "manifest", manifest, _MANIFEST_KEYS, optional=("extra",))
+    _check_keys(manifest_path, "hyperparams", manifest["hyperparams"],
+                [f.name for f in fields(HyperParams)])
+    for entry in manifest["tensors"]:
+        _check_keys(manifest_path, "tensor entry", entry, ("name", "shape", "offset"))
+    code = _DTYPE_CODES.get(manifest["dtype"])
+    if code is None:
+        raise ValueError(f"{manifest_path}: unknown dtype {manifest['dtype']}")
     hyper = HyperParams(**manifest["hyperparams"])
     ls = LabelSpace(tuple(manifest["ec_labels"]), tuple(manifest["re_labels"]))
-    code = _DTYPE_CODES[manifest["dtype"]]
     path = directory / PARAMS_NAME
     size = path.stat().st_size
     if size != manifest["total_bytes"]:
@@ -558,18 +568,14 @@ def load_checkpoint(directory):
     vocab = {word: row for word, row in manifest["vocab"]}
     entries = {entry["name"]: entry for entry in manifest["tensors"]}
     n_emb_rows = entries["embeddings"]["shape"][0] if "embeddings" in entries else 0
-    expected = tensor_shapes(hyper, ls, n_emb_rows)
-    unexpected = sorted(set(entries) - {name for name, _ in expected})
-    if unexpected:
-        raise ValueError(f"checkpoint manifest has unexpected tensor {unexpected[0]}")
+    expected = dict(tensor_shapes(hyper, ls, n_emb_rows))
+    _check_keys(manifest_path, "manifest", entries, expected, kind="tensor")
     tensors = {}
     # each tensor is read straight into its own array; the payload is never
     # held whole beside them
     with open(path, "rb") as handle:
-        for name, shape in expected:
-            entry = entries.get(name)
-            if entry is None:
-                raise ValueError(f"checkpoint manifest lacks tensor {name}")
+        for name, shape in expected.items():
+            entry = entries[name]
             if tuple(entry["shape"]) != shape:
                 raise ValueError(f"tensor {name} has shape {tuple(entry['shape'])}, "
                                  f"manifest/model disagree")

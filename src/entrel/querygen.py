@@ -26,26 +26,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ContextSplit:
-    """The six-part sentence split used by the relation path.
-
-    mid_i is the full right context of the first entity (it includes the
-    second entity and everything after it); left_j likewise runs from the
-    sentence start up to the second entity.
-    """
-
-    left_i: tuple
-    ent_i: tuple
-    mid_i: tuple
-    left_j: tuple
-    ent_j: tuple
-    right_j: tuple
-
-    def parts(self):
-        return [self.left_i, self.ent_i, self.mid_i, self.left_j, self.ent_j, self.right_j]
-
-
-@dataclass(frozen=True)
 class Query:
     """One model input: a sentence, two ordered spans and the gold triple."""
 
@@ -89,31 +69,6 @@ def check_spans(n_tokens, span_i, span_j):
         raise QueryError(f"span outside sentence: {span_i}, {span_j} for {n_tokens} tokens")
     if ei > sj:
         raise QueryError(f"spans must be ordered and non-overlapping: {span_i}, {span_j}")
-
-
-def split_context(tokens, span_i, span_j) -> ContextSplit:
-    """Six-part split around an ordered entity pair (empty parts allowed)."""
-    tokens = list(tokens)
-    check_spans(len(tokens), span_i, span_j)
-    si, ei = span_i
-    sj, ej = span_j
-    return ContextSplit(
-        left_i=tuple(tokens[:si]),
-        ent_i=tuple(tokens[si:ei]),
-        mid_i=tuple(tokens[ei:]),
-        left_j=tuple(tokens[:sj]),
-        ent_j=tuple(tokens[sj:ej]),
-        right_j=tuple(tokens[ej:]),
-    )
-
-
-def entity_parts(tokens, span):
-    """(left, entity, right) split used by the entity-classification path."""
-    start, end = span
-    tokens = list(tokens)
-    if not (0 <= start < end <= len(tokens)):
-        raise QueryError(f"span {span} outside sentence of {len(tokens)} tokens")
-    return tuple(tokens[:start]), tuple(tokens[start:end]), tuple(tokens[end:])
 
 
 def _relation_lookup(sentence: Sentence, label_space: LabelSpace):

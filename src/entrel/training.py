@@ -35,7 +35,6 @@ class TrainConfig:
     max_epochs: int = 20
     seed: int = 13
     setup: int = 1
-    output_layer: str = "crf"
     neg_keep_prob: float | None = None
     lr_floor: float = 1e-6
     masked_decode: bool = False
@@ -48,8 +47,6 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= 0")
         if self.setup not in (1, 2, 3):
             raise ConfigError(f"setup must be 1, 2 or 3, got {self.setup}")
-        if self.output_layer not in ("crf", "softmax"):
-            raise ConfigError(f"unknown output layer {self.output_layer!r}")
 
 
 @dataclass

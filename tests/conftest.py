@@ -8,6 +8,32 @@ from entrel import synth
 
 TINY_HYPER = dict(nk_c=4, nk_e=3, h_c=5, h_e=4, k=2, emb_dim=6)
 
+# Raw fixture in the distributed column layout: sentence number, entity tag,
+# row index, a placeholder column, POS, word (multi-token entities joined
+# with "/"), then trailing placeholders. Relation lines follow each block.
+RAW_SENTENCE = """\
+1\tPeop\t0\tO\tNNP\tAnderson\tO\tO\tO
+1\tO\t1\tO\t,\t,\tO\tO\tO
+1\tO\t2\tO\tCD\t41\tO\tO\tO
+1\tO\t3\tO\t,\t,\tO\tO\tO
+1\tO\t4\tO\tVBD\twas\tO\tO\tO
+1\tO\t5\tO\tDT\tthe\tO\tO\tO
+1\tO\t6\tO\tNN\tchief\tO\tO\tO
+1\tLoc\t7\tO\tNNP\tMiddle/East\tO\tO\tO
+1\tO\t8\tO\tNN\tcorrespondent\tO\tO\tO
+1\tO\t9\tO\tIN\tfor\tO\tO\tO
+1\tOrg\t10\tO\tNNP\tThe/Associated/Press\tO\tO\tO
+
+0\t7\tLive_in
+
+"""
+
+# the example sentence of the paper's figure
+FIG_TOKENS = [
+    "Anderson", ",", "41", ",", "was", "the", "chief",
+    "Middle", "East", "correspondent", "for", "The", "Associated", "Press",
+]
+
 
 @pytest.fixture
 def label_space():

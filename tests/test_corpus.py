@@ -19,25 +19,7 @@ from entrel.corpus import (
     write_canonical,
 )
 
-# Raw fixture in the distributed column layout: sentence number, entity tag,
-# row index, a placeholder column, POS, word (multi-token entities joined
-# with "/"), then trailing placeholders. Relation lines follow each block.
-RAW_SENTENCE = """\
-1\tPeop\t0\tO\tNNP\tAnderson\tO\tO\tO
-1\tO\t1\tO\t,\t,\tO\tO\tO
-1\tO\t2\tO\tCD\t41\tO\tO\tO
-1\tO\t3\tO\t,\t,\tO\tO\tO
-1\tO\t4\tO\tVBD\twas\tO\tO\tO
-1\tO\t5\tO\tDT\tthe\tO\tO\tO
-1\tO\t6\tO\tNN\tchief\tO\tO\tO
-1\tLoc\t7\tO\tNNP\tMiddle/East\tO\tO\tO
-1\tO\t8\tO\tNN\tcorrespondent\tO\tO\tO
-1\tO\t9\tO\tIN\tfor\tO\tO\tO
-1\tOrg\t10\tO\tNNP\tThe/Associated/Press\tO\tO\tO
-
-0\t7\tLive_in
-
-"""
+from conftest import RAW_SENTENCE
 
 
 class TestLabelSpace:

@@ -9,6 +9,7 @@ from entrel import crf
 from entrel.corpus import LabelSpace
 
 from conftest import finite_difference
+from crf_oracles import brute_force_best, brute_force_logZ, brute_force_marginals
 
 
 def random_instance(rng, n=11, scale=2.0):
@@ -79,14 +80,14 @@ class TestForwardLogZ:
         for _ in range(20):
             d, q = random_instance(rng)
             assert crf.forward_logZ(d, q) == pytest.approx(
-                crf.brute_force_logZ(d, q), abs=1e-9
+                brute_force_logZ(d, q), abs=1e-9
             )
 
     def test_brute_force_matches_independent_itertools_sum(self):
         rng = np.random.default_rng(3)
         for n in (2, 5, 11):
             d, q = random_instance(rng, n=n)
-            assert crf.brute_force_logZ(d, q) == pytest.approx(
+            assert brute_force_logZ(d, q) == pytest.approx(
                 itertools_logz(d, q), abs=1e-9
             )
 
@@ -96,19 +97,19 @@ class TestBruteForce:
         for n in (2, 4, 11):
             d = np.zeros((3, n))
             q = np.zeros((n + 2, n + 2))
-            assert crf.brute_force_logZ(d, q) == pytest.approx(3 * math.log(n), abs=1e-12)
+            assert brute_force_logZ(d, q) == pytest.approx(3 * math.log(n), abs=1e-12)
 
     def test_dominant_sequence_limit(self):
         d = np.zeros((3, 4))
         d[0, 1] = d[1, 2] = d[2, 3] = 1e6
         q = np.zeros((6, 6))
         score = crf.sequence_score(d, (1, 2, 3), q)
-        assert crf.brute_force_logZ(d, q) == pytest.approx(score, abs=1e-9)
+        assert brute_force_logZ(d, q) == pytest.approx(score, abs=1e-9)
 
     def test_refuses_large_spaces(self):
         n = 40
         with pytest.raises(ValueError):
-            crf.brute_force_logZ(np.zeros((3, n)), np.zeros((n + 2, n + 2)))
+            brute_force_logZ(np.zeros((3, n)), np.zeros((n + 2, n + 2)))
 
 
 class TestViterbi:
@@ -125,7 +126,7 @@ class TestViterbi:
         for _ in range(40):
             d, q = random_instance(rng)
             best, score = crf.viterbi(d, q)
-            oracle_best, oracle_score = crf.brute_force_best(d, q)
+            oracle_best, oracle_score = brute_force_best(d, q)
             assert best == oracle_best
             assert score == pytest.approx(oracle_score, abs=1e-9)
 
@@ -148,7 +149,7 @@ class TestViterbi:
         d = np.zeros((3, 3))
         q = np.zeros((5, 5))
         assert crf.viterbi(d, q)[0] == (0, 0, 0)
-        assert crf.brute_force_best(d, q)[0] == (0, 0, 0)
+        assert brute_force_best(d, q)[0] == (0, 0, 0)
 
     def test_tie_break_constructed_paths(self):
         # exactly two optimal paths, (0,1,2) and (1,0,0), both scoring 3;
@@ -168,7 +169,7 @@ class TestViterbi:
         assert crf.sequence_score(d, (0, 1, 2), q) == pytest.approx(3.0)
         assert crf.sequence_score(d, (1, 0, 0), q) == pytest.approx(3.0)
         best, score = crf.viterbi(d, q)
-        assert best == crf.brute_force_best(d, q)[0] == (0, 1, 2)
+        assert best == brute_force_best(d, q)[0] == (0, 1, 2)
         assert score == pytest.approx(3.0)
 
     def test_masked_decode_respects_positions(self):
@@ -204,7 +205,7 @@ class TestViterbi:
             assert tuple(int(v) for v in best[b]) == row_best
             assert scores[b] == row_score
             emissions = d[b] if allowed is None else crf.apply_position_mask(d[b], allowed)
-            oracle_best, oracle_score = crf.brute_force_best(emissions, q)
+            oracle_best, oracle_score = brute_force_best(emissions, q)
             assert row_best == oracle_best
             assert row_score == pytest.approx(oracle_score, abs=1e-6)
 
@@ -233,7 +234,7 @@ class TestMarginals:
         for _ in range(5):
             d, q = random_instance(rng, n=7)
             assert np.allclose(
-                crf.marginals(d, q), crf.brute_force_marginals(d, q), atol=1e-9
+                crf.marginals(d, q), brute_force_marginals(d, q), atol=1e-9
             )
 
 

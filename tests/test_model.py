@@ -28,12 +28,11 @@ from entrel.model import (
     predict_queries,
     save_checkpoint,
     score_task,
-    softmax_forward,
     softmax_loss_and_grad,
 )
 from entrel.querygen import Query, QueryError, gen_setup1, gen_setup3
 
-from conftest import TINY_HYPER, finite_difference
+from conftest import FIG_TOKENS, TINY_HYPER, finite_difference
 
 
 def make_sentence():
@@ -82,6 +81,35 @@ class TestHyperParams:
             HyperParams(output_layer="maxent")
 
 
+def naive_pooled(part, params, prefix):
+    """Straight-line pooled features of one part (a token list) through the
+    context ("ctx") or entity ("ent") CNN: embedding rows right-padded with
+    zero rows to the filter width, a narrow conv written as loops, then k-max
+    pooling that keeps the top k values of each filter in sentence order."""
+    hyper = params.hyper
+    width = hyper.ctx_width if prefix == "ctx" else hyper.ent_width
+    filters = params[f"{prefix}_filters"].value
+    bias = params[f"{prefix}_bias"].value
+    emb = params["embeddings"].value
+    mat = np.zeros((max(len(part), width), emb.shape[1]))
+    for i, tok in enumerate(part):
+        mat[i] = emb[params.embeddings.lookup(tok)]
+    nk, w, e = filters.shape
+    conv = np.zeros((mat.shape[0] - w + 1, nk))
+    for t in range(conv.shape[0]):
+        for f in range(nk):
+            conv[t, f] = bias[f] + sum(
+                mat[t + i, ee] * filters[f, i, ee] for i in range(w) for ee in range(e)
+            )
+    cols = []
+    for c in range(nk):
+        col = list(conv[:, c])
+        idx = sorted(sorted(range(len(col)), key=lambda i: (-col[i], i))[: hyper.k])
+        vals = [col[i] for i in idx] + [0.0] * max(0, hyper.k - len(col))
+        cols.append(vals[: hyper.k])
+    return np.array(cols).T.ravel()
+
+
 class TestEncode:
     def test_output_length_is_h_c_plus_h_e(self):
         params = make_params()
@@ -119,57 +147,45 @@ class TestEncode:
     def test_straight_line_oracle_ec_path(self):
         """Independent inline re-implementation of the EC path."""
         params = make_params()
-        hyper = params.hyper
         query = make_query()
         tokens = query.sentence.tokens
         d, _ = forward_query(query, params)
 
-        table = params.embeddings
-        emb = params["embeddings"].value
-
-        def embed_pad(part, width):
-            rows = max(len(part), width)
-            mat = np.zeros((rows, emb.shape[1]))
-            for i, tok in enumerate(part):
-                mat[i] = emb[table.lookup(tok)]
-            return mat
-
-        def naive_conv(mat, filters, bias):
-            nk, w, e = filters.shape
-            out = np.zeros((mat.shape[0] - w + 1, nk))
-            for t in range(out.shape[0]):
-                for f in range(nk):
-                    out[t, f] = bias[f] + sum(
-                        mat[t + i, ee] * filters[f, i, ee]
-                        for i in range(w) for ee in range(e)
-                    )
-            return out
-
-        def naive_kmax(mat, k):
-            cols = []
-            for c in range(mat.shape[1]):
-                col = list(mat[:, c])
-                idx = sorted(sorted(range(len(col)), key=lambda i: (-col[i], i))[:k])
-                vals = [col[i] for i in idx] + [0.0] * max(0, k - len(col))
-                cols.append(vals[:k])
-            return np.array(cols).T
-
         si, ei = query.span_i
-        left, ent, right = tokens[:si], tokens[si:ei], tokens[ei:]
-        pooled = {}
-        for name, part, filt, bias, width in (
-            ("left", left, params["ctx_filters"], params["ctx_bias"], hyper.ctx_width),
-            ("right", right, params["ctx_filters"], params["ctx_bias"], hyper.ctx_width),
-            ("ent", ent, params["ent_filters"], params["ent_bias"], hyper.ent_width),
-        ):
-            mat = embed_pad(part, width)
-            pooled[name] = naive_kmax(naive_conv(mat, filt.value, bias.value), hyper.k).ravel()
-        ctx = np.concatenate([pooled["left"], pooled["right"]])
-        entv = pooled["ent"]
+        ctx = np.concatenate([naive_pooled(tokens[:si], params, "ctx"),
+                              naive_pooled(tokens[ei:], params, "ctx")])
+        entv = naive_pooled(tokens[si:ei], params, "ent")
         h_ctx = np.tanh(params["ec_ctx_w"].value.T @ ctx + params["ec_ctx_b"].value)
         h_ent = np.tanh(params["ec_ent_w"].value.T @ entv + params["ec_ent_b"].value)
         expected = params["ec_out"].value.T @ np.concatenate([h_ctx, h_ent])
         assert np.abs(d[0] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("tokens, span_i, span_j", [
+        (FIG_TOKENS, (0, 1), (6, 7)),
+        # the outer contexts tokens[:si] and tokens[ej:] are empty; the inner
+        # ones each hold the other entity
+        (["a", "b"], (0, 1), (1, 2)),
+    ], ids=["figure", "two-tokens"])
+    def test_straight_line_oracle_re_path(self, tokens, span_i, span_j):
+        """Independent inline re-implementation of the RE path: context parts
+        tokens[:si], tokens[ei:], tokens[:sj], tokens[ej:] through the context
+        CNN, entity parts tokens[si:ei], tokens[sj:ej] through the entity CNN."""
+        sentence = Sentence("re", list(tokens), [], [])
+        params = make_params(sentences=[sentence])
+        rng = np.random.default_rng(3)
+        for tensor in params.all_tensors():  # nonzero biases show in empty parts
+            tensor.value[...] = rng.normal(scale=0.5, size=tensor.shape)
+        d, _ = forward_query(Query(sentence, span_i, span_j, "O", "N", "O", 1), params)
+
+        (si, ei), (sj, ej) = span_i, span_j
+        ctx = np.concatenate([naive_pooled(part, params, "ctx") for part in
+                              (tokens[:si], tokens[ei:], tokens[:sj], tokens[ej:])])
+        entv = np.concatenate([naive_pooled(tokens[si:ei], params, "ent"),
+                               naive_pooled(tokens[sj:ej], params, "ent")])
+        h_ctx = np.tanh(params["re_ctx_w"].value.T @ ctx + params["re_ctx_b"].value)
+        h_ent = np.tanh(params["re_ent_w"].value.T @ entv + params["re_ent_b"].value)
+        expected = params["re_out"].value.T @ np.concatenate([h_ctx, h_ent])
+        assert np.abs(d[1] - expected).max() < 1e-12
 
     def test_ec_rows_share_parameters(self):
         # two queries in one sentence where e1-parts of one equal e2-parts of
@@ -368,10 +384,22 @@ class TestScoreTask:
         assert np.allclose(score_task(h, "ec", params), expected, atol=1e-12)
 
 
+def softmax_distributions(query, params):
+    """The baseline's three task-slice distributions, read off the training
+    loss gradient (probabilities minus the gold one-hot), and the scores d."""
+    d, _ = forward_query(query, params)
+    gold = gold_indices(query, params.label_space)
+    _, grad = softmax_loss_and_grad(d, params.label_space, gold)
+    for row, target in enumerate(gold):
+        grad[row, target] += 1.0
+    n_ec = params.label_space.n_ec
+    return grad[0, :n_ec], grad[1, n_ec:], grad[2, :n_ec], d
+
+
 class TestSoftmaxPath:
     def test_distributions_sum_to_one(self):
         params = make_params(output_layer="softmax")
-        p1, pr, p2, _, _ = softmax_forward(make_query(), params)
+        p1, pr, p2, _ = softmax_distributions(make_query(), params)
         for p in (p1, pr, p2):
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert (p >= 0).all()
@@ -381,16 +409,17 @@ class TestSoftmaxPath:
         params = make_params(output_layer="softmax")
         for tensor in params.all_tensors():
             tensor.value[...] = 0.0
-        p1, pr, p2, _, _ = softmax_forward(make_query(), params)
+        p1, pr, p2, _ = softmax_distributions(make_query(), params)
         assert np.allclose(p1, 0.2, atol=1e-12)
         assert np.allclose(pr, 1 / 6, atol=1e-12)
 
     def test_argmax_matches_re_slice(self):
+        # decoding takes each task slice's argmax, the mode of its distribution
         params = make_params(output_layer="softmax")
-        query = make_query()
-        p1, pr, p2, d, _ = softmax_forward(query, params)
-        assert int(np.argmax(pr)) == int(np.argmax(d[1, 5:]))
+        _, pr, _, d = softmax_distributions(make_query(), params)
         pred = decode_query(d, params)
+        assert pred == (int(np.argmax(d[0, :5])), 5 + int(np.argmax(d[1, 5:])),
+                        int(np.argmax(d[2, :5])))
         assert pred[1] == 5 + int(np.argmax(pr))
 
     def test_loss_and_grad_match_finite_differences(self):
@@ -520,3 +549,23 @@ class TestCheckpoint:
         (tmp_path / "ck/params.bin").write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="bytes"):
             load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["hyperparams"].update(bogus=3), "hyperparams has unknown key bogus"),
+        (lambda m: m["hyperparams"].pop("k"), "hyperparams lacks key k"),
+        (lambda m: m.pop("vocab"), "manifest lacks key vocab"),
+        (lambda m: m.update(bogus=1), "manifest has unknown key bogus"),
+        (lambda m: m["tensors"][2].pop("offset"), "tensor entry lacks key offset"),
+        (lambda m: m.update(dtype="float16"), "unknown dtype float16"),
+    ], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key", "unknown-key",
+            "missing-entry-key", "unknown-dtype"])
+    def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, message):
+        params = make_params(seed=17)
+        save_checkpoint(tmp_path / "ck", params, seed=17)
+        path = tmp_path / "ck/manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(tmp_path / "ck")
+        assert str(info.value) == f"{path}: {message}"

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from entrel import synth
@@ -6,19 +5,15 @@ from entrel.corpus import EntityMention, RelationAnnotation, Sentence
 from entrel.querygen import (
     ConfigError,
     QueryError,
+    check_spans,
     dump_queries,
-    entity_parts,
     gen_setup1,
     gen_setup2,
     gen_setup3,
-    split_context,
     subsample_negatives,
 )
 
-FIG_TOKENS = [
-    "Anderson", ",", "41", ",", "was", "the", "chief",
-    "Middle", "East", "correspondent", "for", "The", "Associated", "Press",
-]
+from conftest import FIG_TOKENS
 
 
 def fig_sentence():
@@ -30,46 +25,13 @@ def fig_sentence():
     )
 
 
-class TestSplitContext:
-    def test_reference_split(self):
-        split = split_context(FIG_TOKENS, (0, 1), (6, 7))
-        assert split.left_i == ()
-        assert split.ent_i == ("Anderson",)
-        assert split.mid_i == tuple(FIG_TOKENS[1:])
-        assert split.left_j == ("Anderson", ",", "41", ",", "was", "the")
-        assert split.ent_j == ("chief",)
-        assert split.right_j == tuple(FIG_TOKENS[7:])
-
-    def test_two_token_sentence_outer_contexts_empty(self):
-        # the right context of the first entity always includes the second
-        # entity (reference behavior), so only the outer contexts are empty
-        split = split_context(["a", "b"], (0, 1), (1, 2))
-        assert split.left_i == ()
-        assert split.right_j == ()
-        assert split.mid_i == ("b",)
-        assert split.left_j == ("a",)
-
+class TestCheckSpans:
     def test_overlapping_spans_rejected(self):
-        with pytest.raises(QueryError):
-            split_context(["a", "b", "c"], (0, 2), (1, 3))
-
-    def test_reassembly_on_random_sentences(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(4, 15))
-            tokens = [f"t{i}" for i in range(n)]
-            si = int(rng.integers(0, n - 2))
-            ei = si + 1 + int(rng.integers(0, min(2, n - si - 2)))
-            sj = ei + int(rng.integers(0, n - ei - 1))
-            ej = sj + 1
-            split = split_context(tokens, (si, ei), (sj, ej))
-            assert list(split.left_i) + list(split.ent_i) + list(split.mid_i) == tokens
-            assert list(split.left_j) + list(split.ent_j) + list(split.right_j) == tokens
-
-    def test_entity_parts(self):
-        left, ent, right = entity_parts(FIG_TOKENS, (7, 9))
-        assert ent == ("Middle", "East")
-        assert list(left) + list(ent) + list(right) == FIG_TOKENS
+        check_spans(3, (0, 1), (1, 3))
+        with pytest.raises(QueryError, match="non-overlapping"):
+            check_spans(3, (0, 2), (1, 3))
+        with pytest.raises(QueryError, match="outside"):
+            check_spans(3, (0, 1), (2, 4))
 
 
 class TestSetup1:
