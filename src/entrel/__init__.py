@@ -1,8 +1,9 @@
 """Joint entity classification and relation extraction toolkit.
 
 CNN sentence encoders feed a three-step score sequence (entity type,
-relation, entity type) into a globally normalized linear-chain CRF; a
-locally normalized softmax output layer is available as a baseline.
+relation, entity type) into a globally normalized linear-chain CRF. The
+locally normalized softmax baseline is the same chain without transitions,
+each position normalized over its task's label slice.
 """
 
 __version__ = "0.1.0"

@@ -277,17 +277,18 @@ def _add_common_model_flags(parser):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that records the destination of every value-carrying
-    argument added to it, so config-file keys can be checked against them."""
+    """An ArgumentParser that records the action of every value-carrying
+    argument added to it by destination, so config-file keys and values can
+    be checked against them."""
 
     def __init__(self, *args, **kwargs):
-        self.dests = set()  # before super().__init__, which adds --help
+        self.dests = {}  # before super().__init__, which adds --help
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.default is not argparse.SUPPRESS:  # --help carries no value
-            self.dests.add(action.dest)
+            self.dests[action.dest] = action
         return action
 
 
@@ -378,11 +379,36 @@ def build_parser():
     return parser, commands
 
 
+def _config_value(path, key, value, action):
+    """``value`` converted as its flag's text would be; a ConfigError naming
+    the key and the file where the flag would refuse it.
+
+    argparse converts and checks only string defaults, so a config value
+    goes through the flag's ``type`` and ``choices`` here.
+    """
+    if action.nargs == 0:  # a switch: on or off
+        valid = isinstance(value, bool)
+    elif value is None:
+        valid = action.default is None
+    elif action.type is None:
+        valid = isinstance(value, str)
+    else:
+        try:
+            value = action.type(str(value))
+            valid = True
+        except (TypeError, ValueError):
+            valid = False
+    if not valid or (action.choices is not None and value not in action.choices):
+        raise ConfigError(f"config file {path}: invalid value {value!r} for key {key!r}")
+    return value
+
+
 def _config_values(path, commands, command):
     """The values a JSON config file sets for ``command``; {} without a file.
 
-    A key that no subcommand knows is a config error. Keys of other
-    subcommands are left out, so one file can serve several commands.
+    A key that no subcommand knows, or a value its flag would refuse, is a
+    config error. Keys of other subcommands are left out, so one file can
+    serve several commands.
     """
     path = path or os.environ.get(CONFIG_ENV)
     if not path:
@@ -397,7 +423,8 @@ def _config_values(path, commands, command):
     unknown = sorted(set(values).difference(*(p.dests for p in commands.values())))
     if unknown:
         raise ConfigError(f"config file {path}: unknown key {unknown[0]!r}")
-    return {key: value for key, value in values.items() if key in command.dests}
+    return {key: _config_value(path, key, value, command.dests[key])
+            for key, value in values.items() if key in command.dests}
 
 
 def main(argv=None) -> int:

@@ -49,12 +49,6 @@ def sequence_score(d: np.ndarray, y, q: np.ndarray) -> float:
     )
 
 
-def forward_logZ(d: np.ndarray, q: np.ndarray) -> float:
-    """Log-partition over all N^3 label triples via the forward algorithm."""
-    _check_shapes(d, q)
-    return _forward_backward(d, q)[2]
-
-
 def _forward_backward(d: np.ndarray, q: np.ndarray):
     n = d.shape[1]
     begin, end = n, n + 1
@@ -71,22 +65,21 @@ def _forward_backward(d: np.ndarray, q: np.ndarray):
     return alpha, beta, log_z
 
 
-def marginals(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-position class marginals P(y_i = c); each row sums to 1."""
-    _check_shapes(d, q)
-    alpha, beta, log_z = _forward_backward(d, q)
-    return np.exp(alpha + beta - log_z)
-
-
-def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold):
+def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold, allowed: np.ndarray | None = None):
     """Negative log-likelihood of the gold triple plus exact gradients.
 
     Returns (loss, grad_d, grad_q) with loss = logZ - score(gold),
     grad_d[i, c] = P(y_i = c) - [gold_i = c] and grad_q = expected minus
-    observed transition counts, begin/end transitions included.
+    observed transition counts, begin/end transitions included. With an
+    ``allowed`` mask [3, N] the classes it forbids are penalized as in
+    ``viterbi``; a gold triple the mask forbids is a ValueError.
     """
     n = _check_shapes(d, q)
     y1, y2, y3 = _check_labels(gold, n)
+    if allowed is not None:
+        d = apply_position_mask(d, allowed)
+        if not allowed[np.arange(SEQ_LEN), (y1, y2, y3)].all():
+            raise ValueError(f"gold triple {(y1, y2, y3)} is outside the position mask")
     begin, end = n, n + 1
     inner = q[:n, :n]
     alpha, beta, log_z = _forward_backward(d, q)

@@ -71,11 +71,6 @@ def class_counts(predictions, golds, cls) -> ClassCounts:
     return counts
 
 
-def f1_per_class(predictions, golds, cls):
-    """F1 of one class over aligned decision lists; None if the class is absent."""
-    return class_counts(predictions, golds, cls).f1
-
-
 def _mean(values):
     values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None

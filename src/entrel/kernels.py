@@ -134,13 +134,6 @@ def tanh_backward(h: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (1.0 - h * h) * grad
 
 
-def softmax(xs: np.ndarray) -> np.ndarray:
-    """Stable softmax of a 1-D score vector."""
-    z = xs - xs.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def scaled_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float64):
     """Symmetric uniform init with bound sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -1,5 +1,5 @@
-"""CNN encoder producing the three-step score sequence, plus the softmax
-baseline path, parameter initialization and checkpointing.
+"""CNN encoder producing the three-step score sequence, the output chain
+that decodes it, parameter initialization and checkpointing.
 
 Both tasks share the word embeddings and the two CNNs (one for entity
 parts, one for context parts). Each task owns its hidden sub-layers and
@@ -13,6 +13,11 @@ Every part is a prefix, a suffix or a span of the query's sentence, so a
 from a row slice of that conv. Training encodes one query at a time;
 ``predict_queries`` encodes each sentence once for all its queries and
 decodes them as one batch.
+
+Both output layers are the linear chain of ``crf`` over the score sequence
+(``output_chain``): the CRF with its learned transitions, globally
+normalized, and the softmax baseline as that chain without transitions,
+each position normalized over its task's label slice.
 """
 
 import json
@@ -31,7 +36,6 @@ from entrel.kernels import (
     kmax_pool_backward,
     matvec,
     scaled_uniform,
-    softmax,
     tanh_backward,
 )
 from entrel.querygen import Query, check_spans
@@ -423,40 +427,25 @@ def gold_indices(query: Query, label_space: LabelSpace):
     )
 
 
-def softmax_loss_and_grad(d, label_space: LabelSpace, gold):
-    """Sum of the three slice cross-entropies and its gradient on d."""
-    n_ec = label_space.n_ec
-    y1, y2, y3 = gold
-    grad_d = np.zeros_like(d)
-    loss = 0.0
-    for row, (lo, hi, target) in enumerate(
-        [(0, n_ec, y1), (n_ec, d.shape[1], y2), (0, n_ec, y3)]
-    ):
-        probs = softmax(d[row, lo:hi])
-        local = target - lo
-        if not (0 <= local < hi - lo):
-            raise ValueError(f"gold index {target} outside task slice [{lo},{hi})")
-        loss -= float(np.log(probs[local]))
-        grad_d[row, lo:hi] = probs
-        grad_d[row, lo + local] -= 1.0
-    return loss, grad_d
+def output_chain(params: ModelParams, masked: bool = False):
+    """Transitions and position mask ([3, N] or None) of the output chain.
+
+    The CRF chains its learned transitions, masked only when asked. The
+    softmax baseline is the same chain without transition factors: a zero
+    matrix, never the stored tensor, and always masked, so each position is
+    normalized over its own task's label slice.
+    """
+    ls = params.label_space
+    if params.hyper.output_layer == "crf":
+        return params.transitions.value, ls.position_mask() if masked else None
+    return np.zeros_like(params.transitions.value), ls.position_mask()
 
 
 def decode_query(d, params: ModelParams, masked: bool = False):
     """Predicted (t1, r, t2) unified indices for one score sequence [3, N],
     or a list of them for a batch [B, 3, N]."""
-    ls = params.label_space
     batch = d if d.ndim == 3 else d[None]
-    if params.hyper.output_layer == "softmax":
-        n_ec = ls.n_ec
-        best = np.stack([
-            np.argmax(batch[:, 0, :n_ec], axis=1),
-            n_ec + np.argmax(batch[:, 1, n_ec:], axis=1),
-            np.argmax(batch[:, 2, :n_ec], axis=1),
-        ], axis=1)
-    else:
-        allowed = ls.position_mask() if masked else None
-        best, _ = crf.viterbi(batch, params.transitions.value, allowed)
+    best, _ = crf.viterbi(batch, *output_chain(params, masked))
     triples = [params.shared_triple(tuple(row)) for row in best.tolist()]
     return triples if d.ndim == 3 else triples[0]
 

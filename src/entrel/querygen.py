@@ -51,15 +51,6 @@ class TableSpec:
     row_spans: list  # ordered (start, end) token spans
     gold: dict  # (i, j) with i <= j -> label (EC on the diagonal, RE off it)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_spans)
-
-    @property
-    def n_cells(self) -> int:
-        m = self.n_rows
-        return m * (m + 1) // 2
-
 
 def check_spans(n_tokens, span_i, span_j):
     """Raise QueryError unless both spans lie in the sentence, ordered and disjoint."""

@@ -19,9 +19,9 @@ from entrel.model import (
     backward_query,
     forward_query,
     gold_indices,
+    output_chain,
     predict_queries,
     save_checkpoint,
-    softmax_loss_and_grad,
 )
 from entrel.evaluation import score_queries
 from entrel.querygen import ConfigError
@@ -63,11 +63,10 @@ def query_loss_and_backward(query, params: ModelParams) -> float:
     """Forward + loss + full backward for one query; grads accumulate."""
     gold = gold_indices(query, params.label_space)
     d, cache = forward_query(query, params)
+    q, allowed = output_chain(params)
+    loss, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
     if params.hyper.output_layer == "crf":
-        loss, grad_d, grad_q = crf.nll_and_gradients(d, params.transitions.value, gold)
         params.transitions.grad += grad_q
-    else:
-        loss, grad_d = softmax_loss_and_grad(d, params.label_space, gold)
     backward_query(grad_d, cache, params)
     return float(loss)
 
@@ -76,11 +75,8 @@ def query_loss(query, params: ModelParams) -> float:
     """Forward-only loss for one query (used by the gradient checker)."""
     gold = gold_indices(query, params.label_space)
     d, _ = forward_query(query, params)
-    if params.hyper.output_layer == "crf":
-        q = params.transitions.value
-        return crf.forward_logZ(d, q) - crf.sequence_score(d, gold, q)
-    loss, _ = softmax_loss_and_grad(d, params.label_space, gold)
-    return loss
+    q, allowed = output_chain(params)
+    return crf.nll_and_gradients(d, q, gold, allowed)[0]
 
 
 def sgd_step(params: ModelParams, lr: float, l2: float):
@@ -253,15 +249,3 @@ def grad_check(params: ModelParams, queries, l2: float = 0.0, epsilon: float = 1
     if math.isnan(sum(errors.values(), 0.0)):
         raise RuntimeError("gradient check produced NaN discrepancies")
     return report
-
-
-def triple_accuracy(queries, params: ModelParams, masked: bool = False) -> float:
-    """Fraction of queries whose full (t1, r, t2) triple decodes exactly."""
-    if not queries:
-        return 0.0
-    preds = predict_queries(queries, params, masked)
-    hits = 0
-    for query, pred in zip(queries, preds):
-        if pred == gold_indices(query, params.label_space):
-            hits += 1
-    return hits / len(queries)

@@ -6,10 +6,12 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from entrel import cli, synth
 from entrel.corpus import load_canonical, write_canonical
+from entrel.model import load_checkpoint, save_checkpoint
 
 from conftest import RAW_SENTENCE
 
@@ -88,6 +90,45 @@ def test_inspect_transitions_and_disagreement(corpus, checkpoint, capsys):
 
 def test_gradcheck():
     assert run("gradcheck", "--queries", 1) == 0
+
+
+class TestSoftmaxBaseline:
+    @pytest.fixture(scope="class")
+    def softmax_checkpoint(self, corpus):
+        assert train(corpus, corpus / "softmax", "--output-layer", "softmax",
+                     "--max-epochs", 1, *TINY_FLAGS) == 0
+        return corpus / "softmax" / "final"
+
+    def test_train_eval_predict(self, corpus, softmax_checkpoint, tmp_path, capsys):
+        assert manifest(softmax_checkpoint)["hyperparams"]["output_layer"] == "softmax"
+        assert run("eval", "--checkpoint", softmax_checkpoint, "--corpus", corpus / "dev.jsonl",
+                   "--setup", 2, "--out", tmp_path) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["avg_ec_re"] is not None
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", softmax_checkpoint,
+                   "--sentence", "per1 works for org1", "--span1", "0:1", "--span2", "3:4") == 0
+        assert capsys.readouterr().out.startswith("('per1', 'org1') => (")
+
+    def test_gradcheck(self):
+        assert run("gradcheck", "--queries", 1, "--output-layer", "softmax") == 0
+
+    def test_stored_transitions_do_not_change_decoding(self, corpus, softmax_checkpoint,
+                                                       tmp_path, capsys):
+        # a softmax checkpoint's transitions are carried but never chained
+        params, meta = load_checkpoint(softmax_checkpoint)
+        assert not params.transitions.value.any()
+        rng = np.random.default_rng(0)
+        params.transitions.value[...] = rng.normal(scale=50.0, size=params.transitions.shape)
+        save_checkpoint(tmp_path / "noisy", params, meta["seed"], meta["extra"])
+        outputs = []
+        for checkpoint in (softmax_checkpoint, tmp_path / "noisy"):
+            out = tmp_path / checkpoint.name
+            assert run("eval", "--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl",
+                       "--setup", 3, "--out", out) == 0
+            assert run("predict", "--checkpoint", checkpoint, "--sentence",
+                       "per1 works for org1", "--span1", "0:1", "--span2", "3:4") == 0
+            outputs.append(((out / "report.json").read_text(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("flags", [
@@ -175,3 +216,38 @@ class TestConfigFile:
     def test_malformed_config_exits_2(self, tmp_path, text):
         (tmp_path / "c.json").write_text(text)
         assert run("--config", tmp_path / "c.json", "gradcheck", "--queries", 1) == 2
+
+    @pytest.mark.parametrize("values", [
+        {"setup": 5},
+        {"output_layer": "maxent"},
+        {"k": 2.5},
+        {"max_epochs": "many"},
+        {"masked_decode": "yes"},
+        {"train": 3},
+    ], ids=["setup-choice", "output-layer-choice", "float-for-int", "text-for-int",
+            "text-for-switch", "number-for-path"])
+    def test_train_value_the_flag_refuses_exits_2(self, corpus, tmp_path, capsys, values):
+        config = self.write(tmp_path / "c.json", {"max_epochs": 0, **values})
+        assert run("--config", config, "train", "--train", corpus / "train.jsonl",
+                   "--out", tmp_path / "run") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        (key,) = values
+        assert str(config) in line and repr(key) in line
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_setup_the_flag_refuses_exits_2(self, corpus, checkpoint, tmp_path, capsys):
+        config = self.write(tmp_path / "c.json", {"setup": 5})
+        assert run("--config", config, "eval", "--checkpoint", checkpoint,
+                   "--corpus", corpus / "dev.jsonl", "--out", tmp_path / "report") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(config) in line and "'setup'" in line
+        assert not (tmp_path / "report").exists()
+
+    def test_config_values_take_the_flags_types(self, corpus, tmp_path):
+        # numbers as JSON text convert as flag text does; a null keeps a None default
+        config = self.write(tmp_path / "c.json", {"max_epochs": "0", "k": "3", "h_c": 7,
+                                                  "keep_prob": None, "setup": 2})
+        assert run("--config", config, "train", "--train", corpus / "train.jsonl",
+                   "--out", tmp_path / "run", *TINY_FLAGS[:4], *TINY_FLAGS[6:8]) == 0
+        hyper = manifest(tmp_path / "run" / "final")["hyperparams"]
+        assert (hyper["k"], hyper["h_c"], hyper["nk_c"]) == (3, 7, 4)

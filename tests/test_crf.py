@@ -18,6 +18,19 @@ def random_instance(rng, n=11, scale=2.0):
     return d, q
 
 
+def log_partition(d, q, gold=(0, 0, 0)):
+    """log Z read off the loss: loss = log Z - score(gold), for any gold."""
+    loss, _, _ = crf.nll_and_gradients(d, q, gold)
+    return loss + crf.sequence_score(d, gold, q)
+
+
+def marginals(d, q, gold=(0, 0, 0)):
+    """P(y_i = c) read off the gradient: grad_d = marginals - one-hot(gold)."""
+    _, grad_d, _ = crf.nll_and_gradients(d, q, gold)
+    grad_d[np.arange(3), gold] += 1.0
+    return grad_d
+
+
 def itertools_logz(d, q):
     """Second, fully independent enumeration: python loops + math only."""
     n = d.shape[1]
@@ -65,21 +78,21 @@ class TestForwardLogZ:
     def test_uniform_case(self):
         d = np.zeros((3, 3))
         q = np.zeros((5, 5))
-        assert crf.forward_logZ(d, q) == pytest.approx(math.log(27), abs=1e-12)
+        assert log_partition(d, q) == pytest.approx(math.log(27), abs=1e-12)
 
     def test_row_shift_law(self):
         rng = np.random.default_rng(1)
         d, q = random_instance(rng, n=6)
-        base = crf.forward_logZ(d, q)
+        base = log_partition(d, q)
         shifted = d.copy()
         shifted[1] += 3.75
-        assert crf.forward_logZ(shifted, q) == pytest.approx(base + 3.75, abs=1e-9)
+        assert log_partition(shifted, q) == pytest.approx(base + 3.75, abs=1e-9)
 
     def test_matches_brute_force_over_full_space(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             d, q = random_instance(rng)
-            assert crf.forward_logZ(d, q) == pytest.approx(
+            assert log_partition(d, q) == pytest.approx(
                 brute_force_logZ(d, q), abs=1e-9
             )
 
@@ -221,20 +234,20 @@ class TestMarginals:
     def test_uniform_scores_uniform_rows(self):
         d = np.zeros((3, 5))
         q = np.zeros((7, 7))
-        assert np.allclose(crf.marginals(d, q), 0.2, atol=1e-12)
+        assert np.allclose(marginals(d, q), 0.2, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             d, q = random_instance(rng)
-            assert np.allclose(crf.marginals(d, q).sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(marginals(d, q).sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             d, q = random_instance(rng, n=7)
             assert np.allclose(
-                crf.marginals(d, q), brute_force_marginals(d, q), atol=1e-9
+                marginals(d, q), brute_force_marginals(d, q), atol=1e-9
             )
 
 
@@ -269,7 +282,7 @@ class TestNllAndGradients:
         _, grad_d, grad_q = crf.nll_and_gradients(d, q, gold)
 
         def objective():
-            return crf.forward_logZ(d, q) - crf.sequence_score(d, gold, q)
+            return brute_force_logZ(d, q) - crf.sequence_score(d, gold, q)
 
         num_d = finite_difference(objective, d)
         num_q = finite_difference(objective, q)
@@ -277,29 +290,64 @@ class TestNllAndGradients:
         assert np.abs(grad_q - num_q).max() < 1e-6
 
     def test_grad_of_logz_equals_marginals_identity(self):
+        # grad_d plus the gold one-hot is the marginals, whatever the gold
         rng = np.random.default_rng(11)
-        d, q = random_instance(rng)
-        gold = (0, 6, 4)
-        _, grad_d, _ = crf.nll_and_gradients(d, q, gold)
-        onehot = np.zeros_like(d)
-        for i, c in enumerate(gold):
-            onehot[i, c] = 1.0
-        assert np.allclose(grad_d + onehot, crf.marginals(d, q), atol=1e-12)
+        d, q = random_instance(rng, n=7)
+        oracle = brute_force_marginals(d, q)
+        for gold in ((0, 6, 4), (3, 3, 3), (6, 0, 1)):
+            _, grad_d, _ = crf.nll_and_gradients(d, q, gold)
+            onehot = np.zeros_like(d)
+            for i, c in enumerate(gold):
+                onehot[i, c] = 1.0
+            assert np.allclose(grad_d + onehot, oracle, atol=1e-9)
 
     def test_loss_nonnegative_and_log_domination(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             d, q = random_instance(rng, n=4)
-            logz = crf.forward_logZ(d, q)
+            logz = log_partition(d, q)
             for y in itertools.product(range(4), repeat=3):
                 assert crf.sequence_score(d, y, q) <= logz + 1e-12
 
     def test_path_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)
         d, q = random_instance(rng)
-        logz = crf.forward_logZ(d, q)
+        logz = log_partition(d, q)
         total = sum(
             math.exp(crf.sequence_score(d, y, q) - logz)
             for y in itertools.product(range(11), repeat=3)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestMaskedNll:
+    """nll_and_gradients with a position mask, as the softmax baseline runs it."""
+
+    def test_matches_masked_enumeration(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            d, q = random_instance(rng, n=6)
+            allowed = rng.random((3, 6)) < 0.5
+            allowed[np.arange(3), rng.integers(0, 6, size=3)] = True
+            gold = tuple(int(rng.choice(np.flatnonzero(row))) for row in allowed)
+            loss, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
+            masked = crf.apply_position_mask(d, allowed)
+            assert loss == pytest.approx(
+                brute_force_logZ(masked, q) - crf.sequence_score(d, gold, q), abs=1e-9)
+            onehot = np.zeros_like(d)
+            onehot[np.arange(3), gold] = 1.0
+            assert np.allclose(grad_d + onehot, brute_force_marginals(masked, q), atol=1e-9)
+            assert not grad_d[~allowed].any()
+            unmasked = crf.nll_and_gradients(masked, q, gold)
+            assert np.array_equal(grad_q, unmasked[2])
+
+    @pytest.mark.parametrize("gold", [(5, 5, 0), (0, 0, 0), (0, 5, 6)])
+    def test_gold_outside_mask_rejected(self, gold):
+        allowed = LabelSpace().position_mask()
+        with pytest.raises(ValueError, match="outside the position mask"):
+            crf.nll_and_gradients(np.zeros((3, 11)), np.zeros((13, 13)), gold, allowed)
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ValueError, match="mask shape"):
+            crf.nll_and_gradients(np.zeros((3, 4)), np.zeros((6, 6)), (0, 0, 0),
+                                  np.ones((3, 5), dtype=bool))

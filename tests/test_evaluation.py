@@ -13,7 +13,6 @@ from entrel.evaluation import (
     assemble_tables,
     assemble_votes,
     class_counts,
-    f1_per_class,
     format_report,
     macro_and_avg,
     majority_vote,
@@ -44,16 +43,16 @@ class TestF1:
         preds = ["A", "A", "A", "B"]
         golds = ["A", "A", "B", "A"]
         # TP=2, FP=1, FN=1 -> P=R=2/3 -> F1=2/3
-        assert f1_per_class(preds, golds, "A") == pytest.approx(2 / 3, abs=1e-4)
+        assert class_counts(preds, golds, "A").f1 == pytest.approx(2 / 3, abs=1e-4)
 
     def test_perfect(self):
-        assert f1_per_class(["A", "B"], ["A", "B"], "A") == 1.0
+        assert class_counts(["A", "B"], ["A", "B"], "A").f1 == 1.0
 
     def test_zero_tp_with_errors_is_zero(self):
-        assert f1_per_class(["B"], ["A"], "A") == 0.0
+        assert class_counts(["B"], ["A"], "A").f1 == 0.0
 
     def test_absent_class_reported_absent(self):
-        assert f1_per_class(["B"], ["B"], "A") is None
+        assert class_counts(["B"], ["B"], "A").f1 is None
 
     def test_against_counting_oracle(self):
         rng = np.random.default_rng(0)
@@ -62,7 +61,7 @@ class TestF1:
             preds = [labels[i] for i in rng.integers(0, 3, size=40)]
             golds = [labels[i] for i in rng.integers(0, 3, size=40)]
             for cls in labels:
-                assert f1_per_class(preds, golds, cls) == counting_oracle(preds, golds, cls)
+                assert class_counts(preds, golds, cls).f1 == counting_oracle(preds, golds, cls)
 
     @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
     def test_symmetric_under_fp_fn_swap(self, tp, fp, fn):

@@ -25,14 +25,16 @@ from entrel.model import (
     gold_indices,
     init_params,
     load_checkpoint,
+    output_chain,
     predict_queries,
     save_checkpoint,
     score_task,
-    softmax_loss_and_grad,
 )
 from entrel.querygen import Query, QueryError, gen_setup1, gen_setup3
 
+import softmax_oracles
 from conftest import FIG_TOKENS, TINY_HYPER, finite_difference
+from crf_oracles import brute_force_logZ
 
 
 def make_sentence():
@@ -384,12 +386,19 @@ class TestScoreTask:
         assert np.allclose(score_task(h, "ec", params), expected, atol=1e-12)
 
 
+def chain_loss_and_grad(d, params, gold):
+    """Loss and grad_d of the model's output chain, as training runs it."""
+    q, allowed = output_chain(params)
+    loss, grad_d, _ = crf.nll_and_gradients(d, q, gold, allowed)
+    return loss, grad_d
+
+
 def softmax_distributions(query, params):
     """The baseline's three task-slice distributions, read off the training
     loss gradient (probabilities minus the gold one-hot), and the scores d."""
     d, _ = forward_query(query, params)
     gold = gold_indices(query, params.label_space)
-    _, grad = softmax_loss_and_grad(d, params.label_space, gold)
+    _, grad = chain_loss_and_grad(d, params, gold)
     for row, target in enumerate(gold):
         grad[row, target] += 1.0
     n_ec = params.label_space.n_ec
@@ -397,6 +406,9 @@ def softmax_distributions(query, params):
 
 
 class TestSoftmaxPath:
+    """The softmax baseline is the chain without transitions, masked per
+    task slice; tests/softmax_oracles.py computes it slice by slice."""
+
     def test_distributions_sum_to_one(self):
         params = make_params(output_layer="softmax")
         p1, pr, p2, _ = softmax_distributions(make_query(), params)
@@ -423,16 +435,49 @@ class TestSoftmaxPath:
         assert pred[1] == 5 + int(np.argmax(pr))
 
     def test_loss_and_grad_match_finite_differences(self):
-        ls = LabelSpace()
+        params = make_params(output_layer="softmax")
+        ls = params.label_space
         rng = np.random.default_rng(2)
         d = rng.normal(size=(3, 11))
         gold = (1, ls.unified("Live_in"), 2)
-        loss, grad = softmax_loss_and_grad(d, ls, gold)
+        loss, grad = chain_loss_and_grad(d, params, gold)
         assert loss > 0
-        numeric = finite_difference(lambda: softmax_loss_and_grad(d, ls, gold)[0], d)
+        numeric = finite_difference(lambda: chain_loss_and_grad(d, params, gold)[0], d)
         assert rel_error(grad, numeric) < 1e-6
         # gradient never leaks outside the task slices
         assert not grad[0, 5:].any() and not grad[2, 5:].any() and not grad[1, :5].any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), coarse=st.booleans(),
+           scale=st.sampled_from([0.1, 3.0, 30.0]))
+    def test_matches_slice_oracle(self, seed, coarse, scale):
+        # coarse draws are small integers, so slices often tie at their top
+        params = make_params(output_layer="softmax")
+        ls = params.label_space
+        rng = np.random.default_rng(seed)
+        if coarse:
+            d = rng.integers(-2, 3, size=(3, ls.n_classes)).astype(float)
+        else:
+            d = rng.normal(scale=scale, size=(3, ls.n_classes))
+        gold = (int(rng.integers(ls.n_ec)), int(rng.integers(ls.n_ec, ls.n_classes)),
+                int(rng.integers(ls.n_ec)))
+        loss, grad = chain_loss_and_grad(d, params, gold)
+        oracle_loss, oracle_grad = softmax_oracles.softmax_loss_and_grad(d, ls, gold)
+        assert abs(loss - oracle_loss) <= 1e-12 * max(1.0, abs(oracle_loss))
+        assert rel_error(grad, oracle_grad) <= 1e-12
+        assert decode_query(d, params) == softmax_oracles.softmax_decode(d, ls)
+        assert decode_query(d, params, masked=True) == softmax_oracles.softmax_decode(d, ls)
+
+    def test_stored_transitions_are_not_used(self):
+        params = make_params(output_layer="softmax")
+        rng = np.random.default_rng(3)
+        d = rng.normal(size=(3, 11))
+        gold = (1, 7, 2)
+        before = chain_loss_and_grad(d, params, gold), decode_query(d, params)
+        params.transitions.value[...] = rng.normal(scale=50.0, size=params.transitions.shape)
+        (loss, grad), pred = chain_loss_and_grad(d, params, gold), decode_query(d, params)
+        assert loss == before[0][0] and np.array_equal(grad, before[0][1])
+        assert pred == before[1]
 
 
 class TestInit:
@@ -476,7 +521,7 @@ class TestBackward:
         def objective():
             d, _ = forward_query(query, params)
             q = params.transitions.value
-            return crf.forward_logZ(d, q) - crf.sequence_score(d, gold, q)
+            return brute_force_logZ(d, q) - crf.sequence_score(d, gold, q)
 
         params.zero_grads()
         d, cache = forward_query(query, params)

@@ -94,9 +94,9 @@ class TestSetup2:
         )
         queries, tables = gen_setup2([sent])
         table = tables["m4"]
-        assert table.n_rows == 4
+        assert len(table.row_spans) == 4
         assert len(queries) == 6  # m(m-1)/2
-        assert table.n_cells == 10  # m(m+1)/2
+        assert len(table.gold) == 10  # m(m+1)/2 cells
 
     def test_live_in_cell_location(self):
         _, tables = gen_setup2([fig_sentence()])
@@ -138,7 +138,7 @@ class TestSetup3:
         sent = Sentence("t5", ["a", "b", "c", "d", "e"], [], [])
         queries, tables = gen_setup3([sent])
         assert len(queries) == 10
-        assert tables["t5"].n_cells == 15
+        assert len(tables["t5"].gold) == 15
 
     def test_multi_token_relation_labels_product_cells(self):
         sent = Sentence(

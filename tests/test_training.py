@@ -4,7 +4,7 @@ import pytest
 from entrel import synth, training
 from entrel.corpus import LabelSpace, corpus_vocabulary, random_embeddings
 from entrel.evaluation import MetricsReport
-from entrel.model import HyperParams, init_params, forward_query
+from entrel.model import HyperParams, forward_query, gold_indices, init_params, predict_queries
 from entrel.querygen import ConfigError, gen_setup1
 from entrel.training import (
     GradCheckReport,
@@ -12,7 +12,6 @@ from entrel.training import (
     grad_check,
     sgd_step,
     train_loop,
-    triple_accuracy,
 )
 
 from conftest import TINY_HYPER
@@ -177,7 +176,9 @@ class TestTrainLoop:
         # the train seed and the corpus size are the original ones.
         config = TrainConfig(max_epochs=10, seed=3, learning_rate=0.2, batch_size=5)
         state = train_loop(params, train_q, dev_q, config)
-        assert triple_accuracy(train_q, params) >= 0.95
+        preds = predict_queries(train_q, params)
+        hits = sum(pred == gold_indices(q, params.label_space) for q, pred in zip(train_q, preds))
+        assert hits / len(train_q) >= 0.95
         assert state.best_metric >= 0.85
 
     def test_freeze_embeddings_flag(self):
