@@ -120,7 +120,6 @@ def cmd_train(args) -> int:
         setup=args.setup,
         neg_keep_prob=args.keep_prob,
         masked_decode=args.masked_decode,
-        freeze_embeddings=args.freeze_embeddings,
     )
 
     train_queries = _generate_queries(train_sentences, config.setup)
@@ -290,6 +289,28 @@ class _Parser(argparse.ArgumentParser):
         if action.default is not argparse.SUPPRESS:  # --help carries no value
             self.dests[action.dest] = action
         return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Bind a token that starts with '-' to the flag before it when that
+        flag takes one value its type accepts: argparse alone reads "-inf" or
+        "-1e9" as a flag, which leaves "--threshold -inf" without its value."""
+        bound = []
+        for token in sys.argv[1:] if args is None else args:
+            if token.startswith("-") and bound and self._accepts(bound[-1], token):
+                bound[-1] += "=" + token
+            else:
+                bound.append(token)
+        return super().parse_known_args(bound, namespace)
+
+    def _accepts(self, flag: str, text: str) -> bool:
+        for action in self.dests.values():
+            if flag in action.option_strings and action.nargs is None and action.type:
+                try:
+                    action.type(text)
+                    return True
+                except ValueError:
+                    return False
+        return False
 
 
 def build_parser():

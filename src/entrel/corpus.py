@@ -12,7 +12,7 @@ round-trips exactly.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,7 +341,6 @@ class EmbeddingTable:
     matrix: np.ndarray
     unk_row: int
     trainable: bool = True
-    stats: dict = field(default_factory=dict)
 
     def lookup(self, word: str) -> int:
         row = self.vocab.get(word)
@@ -408,23 +407,18 @@ def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> 
     if rng is not None:
         matrix[unk_row] = scaled_uniform(rng, (dim,), dim, dim, dtype=dtype)
     table_vocab = {}
-    stats = {"exact": 0, "lower": 0, "unk": 0}
     row = 0
     for word in vocab:
         vec = found.get(word)
-        kind = "exact"
         if vec is None:
             vec = found.get(word.lower())
-            kind = "lower"
         if vec is None:
-            stats["unk"] += 1
             continue  # word maps to unk_row via lookup fallback
-        stats[kind] += 1
         matrix[row] = vec
         table_vocab[word] = row
         row += 1
     matrix = np.vstack([matrix[:row], matrix[unk_row : unk_row + 1]])
-    return EmbeddingTable(dim, table_vocab, matrix, row, trainable, stats)
+    return EmbeddingTable(dim, table_vocab, matrix, row, trainable)
 
 
 def random_embeddings(vocab, dim, rng, trainable=True, dtype=np.float64) -> EmbeddingTable:
@@ -432,5 +426,4 @@ def random_embeddings(vocab, dim, rng, trainable=True, dtype=np.float64) -> Embe
     vocab = list(vocab)
     matrix = scaled_uniform(rng, (len(vocab) + 1, dim), dim, dim, dtype=dtype)
     table_vocab = {word: row for row, word in enumerate(vocab)}
-    return EmbeddingTable(dim, table_vocab, matrix, len(vocab), trainable,
-                          {"exact": 0, "lower": 0, "unk": 0})
+    return EmbeddingTable(dim, table_vocab, matrix, len(vocab), trainable)

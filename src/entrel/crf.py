@@ -6,12 +6,16 @@ transition scores along begin -> y1 -> y2 -> y3 -> end plus the three
 emission scores d[i, y_i]. The transition matrix has side N+2 where the two
 extra rows/columns are the begin tag (index N) and end tag (index N+1).
 
+The loss, its gradients and decoding all read the score of every path, an
+[N, N, N] cube. SEQ_LEN is 3 and the CLI loads only checkpoints over the
+11-class unified label space, so the cube holds 11^3 = 1,331 paths.
+
 All functions are pure given (d, Q) and safe to call concurrently.
 """
 
 import numpy as np
 
-from entrel.kernels import logsumexp, logsumexp_rows
+from entrel.kernels import logsumexp_rows
 
 SEQ_LEN = 3
 MASK_PENALTY = -1e9  # additive penalty for classes disallowed at a position
@@ -36,33 +40,17 @@ def _check_labels(y, n: int):
     return y
 
 
-def sequence_score(d: np.ndarray, y, q: np.ndarray) -> float:
-    """Score of one label triple: transitions (incl. begin/end) + emissions."""
-    n = _check_shapes(d, q)
-    y1, y2, y3 = _check_labels(y, n)
-    begin, end = n, n + 1
-    return float(
-        q[begin, y1] + d[0, y1]
-        + q[y1, y2] + d[1, y2]
-        + q[y2, y3] + d[2, y3]
-        + q[y3, end]
-    )
-
-
-def _forward_backward(d: np.ndarray, q: np.ndarray):
-    n = d.shape[1]
-    begin, end = n, n + 1
+def _path_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Score of every label triple: [..., N, N, N] for d [..., 3, N], entry
+    [..., a, b, c] scoring begin -> a -> b -> c -> end. Terms are added from
+    the end of the chain back, as a suffix max-sum recursion adds them."""
+    n = d.shape[-1]
     inner = q[:n, :n]
-    alpha = np.empty((SEQ_LEN, n), dtype=d.dtype)
-    alpha[0] = q[begin, :n] + d[0]
-    for i in range(1, SEQ_LEN):
-        alpha[i] = logsumexp_rows((alpha[i - 1][:, None] + inner).T) + d[i]
-    beta = np.empty((SEQ_LEN, n), dtype=d.dtype)
-    beta[SEQ_LEN - 1] = q[:n, end]
-    for i in range(SEQ_LEN - 2, -1, -1):
-        beta[i] = logsumexp_rows(inner + d[i + 1] + beta[i + 1])
-    log_z = logsumexp(alpha[SEQ_LEN - 1] + beta[SEQ_LEN - 1])
-    return alpha, beta, log_z
+    tail = d[..., 1, :, None] + (inner + (d[..., 2, :] + q[:n, n + 1])[..., None, :])
+    scores = inner[:, :, None] + tail[..., None, :, :]
+    scores += d[..., 0, :, None, None]  # in place: one cube-sized array per call
+    scores += q[n, :n, None, None]
+    return scores
 
 
 def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold, allowed: np.ndarray | None = None):
@@ -81,29 +69,28 @@ def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold, allowed: np.ndarray | 
         if not allowed[np.arange(SEQ_LEN), (y1, y2, y3)].all():
             raise ValueError(f"gold triple {(y1, y2, y3)} is outside the position mask")
     begin, end = n, n + 1
-    inner = q[:n, :n]
-    alpha, beta, log_z = _forward_backward(d, q)
-    marg = np.exp(alpha + beta - log_z)
+    scores = _path_scores(d, q)
+    log_z = logsumexp_rows(scores.reshape(1, -1))[0]
+    probs = np.exp(scores - log_z)
+    pair_12 = probs.sum(axis=2)  # P(y1, y2)
+    pair_23 = probs.sum(axis=0)  # P(y2, y3)
+    first, last = pair_12.sum(axis=1), pair_23.sum(axis=0)
 
-    grad_d = marg.copy()
+    grad_d = np.stack([first, pair_12.sum(axis=0), last])
     grad_d[0, y1] -= 1.0
     grad_d[1, y2] -= 1.0
     grad_d[2, y3] -= 1.0
 
     grad_q = np.zeros_like(q)
-    for i in range(SEQ_LEN - 1):
-        pair = np.exp(
-            alpha[i][:, None] + inner + d[i + 1][None, :] + beta[i + 1][None, :] - log_z
-        )
-        grad_q[:n, :n] += pair
+    grad_q[:n, :n] = pair_12 + pair_23
     grad_q[y1, y2] -= 1.0
     grad_q[y2, y3] -= 1.0
-    grad_q[begin, :n] += marg[0]
+    grad_q[begin, :n] = first
     grad_q[begin, y1] -= 1.0
-    grad_q[:n, end] += marg[SEQ_LEN - 1]
+    grad_q[:n, end] = last
     grad_q[y3, end] -= 1.0
 
-    loss = log_z - sequence_score(d, (y1, y2, y3), q)
+    loss = float(log_z - scores[y1, y2, y3])
     return loss, grad_d, grad_q
 
 
@@ -124,32 +111,18 @@ def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None):
     [B, 3, N], giving (best [B, 3] ints, scores [B]); each batch row decodes
     exactly as it would alone. Ties resolve to the lowest class index at the
     earliest differing position (the lexicographically smallest optimal
-    sequence), which is what a first-occurrence argmax over the full
-    enumeration returns.
+    sequence): C order lists the triples of the path-score cube
+    lexicographically, and argmax takes the first maximum.
     """
     single = d.ndim == 2
     batch = d[None] if single else d
     n = _check_shapes(batch, q, ndim=3)
     if allowed is not None:
         batch = apply_position_mask(batch, allowed)
-    begin, end = n, n + 1
-    inner = q[:n, :n]
-    # suffix DP so the earliest position is decided first; np.argmax takes
-    # the first (lowest-index) maximum
-    gamma = batch[:, SEQ_LEN - 1] + q[:n, end]
-    backptr = []
-    for i in range(SEQ_LEN - 2, -1, -1):
-        cand = inner + gamma[:, None, :]
-        backptr.append(np.argmax(cand, axis=2))
-        gamma = batch[:, i] + cand.max(axis=2)
-    backptr.reverse()
-    first = q[begin, :n] + gamma
-    rows = np.arange(len(batch))
-    y1 = np.argmax(first, axis=1)
-    y2 = backptr[0][rows, y1]
-    y3 = backptr[1][rows, y2]
-    best = np.stack([y1, y2, y3], axis=1)
-    scores = first[rows, y1]
+    flat = _path_scores(batch, q).reshape(len(batch), -1)
+    index = np.argmax(flat, axis=1)
+    best = np.stack(np.unravel_index(index, (n,) * SEQ_LEN), axis=1)
+    scores = flat[np.arange(len(batch)), index]
     if single:
         return tuple(int(v) for v in best[0]), float(scores[0])
     return best, scores

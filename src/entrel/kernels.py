@@ -112,19 +112,9 @@ def kmax_pool_backward(grad_out: np.ndarray, sel: np.ndarray, input_rows: int) -
     return grad_seq
 
 
-def logsumexp(xs: np.ndarray) -> float:
-    """log(sum(exp(xs))) for a 1-D vector, max-shifted so it never overflows."""
-    xs = np.asarray(xs)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError(f"logsumexp needs a non-empty vector, got shape {xs.shape}")
-    m = xs.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(xs - m).sum()))
-
-
 def logsumexp_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of a 2-D array (one result per row)."""
+    """Max-shifted log(sum(exp(row))) per row of a 2-D array; an empty row is a
+    ValueError. The CRF's log-partition is one row: its flat path-score cube."""
     m = mat.max(axis=1, keepdims=True)
     return (m + np.log(np.exp(mat - m).sum(axis=1, keepdims=True)))[:, 0]
 

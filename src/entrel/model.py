@@ -75,6 +75,8 @@ class HyperParams:
                 raise ValueError(f"hyperparameter {name} must be positive")
         if self.output_layer not in ("crf", "softmax"):
             raise ValueError(f"unknown output layer {self.output_layer!r}")
+        if self.dtype not in _DTYPE_CODES:
+            raise ValueError(f"unknown dtype {self.dtype!r}")
 
     @classmethod
     def defaults_for(cls, setup: int, output_layer: str, **overrides) -> "HyperParams":
@@ -546,7 +548,13 @@ def load_checkpoint(directory):
     code = _DTYPE_CODES.get(manifest["dtype"])
     if code is None:
         raise ValueError(f"{manifest_path}: unknown dtype {manifest['dtype']}")
-    hyper = HyperParams(**manifest["hyperparams"])
+    try:
+        hyper = HyperParams(**manifest["hyperparams"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: hyperparams: {exc}") from None
+    if hyper.dtype != manifest["dtype"]:
+        raise ValueError(f"{manifest_path}: dtype {manifest['dtype']} disagrees with "
+                         f"hyperparams dtype {hyper.dtype}")
     ls = LabelSpace(tuple(manifest["ec_labels"]), tuple(manifest["re_labels"]))
     path = directory / PARAMS_NAME
     size = path.stat().st_size

@@ -38,7 +38,6 @@ class TrainConfig:
     neg_keep_prob: float | None = None
     lr_floor: float = 1e-6
     masked_decode: bool = False
-    freeze_embeddings: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1 or self.learning_rate <= 0 or self.l2 < 0:
@@ -105,8 +104,6 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     """
     if not train_queries:
         raise ConfigError("empty train set")
-    if params.embeddings.trainable and config.freeze_embeddings:
-        params.embeddings.trainable = False
     ls = params.label_space
     out_dir = Path(out_dir) if out_dir is not None else None
     state = TrainState(lr=config.learning_rate)
@@ -189,10 +186,6 @@ class GradCheckReport:
     @property
     def passed(self) -> bool:
         return all(err < self.tolerance for err in self.errors.values())
-
-    @property
-    def failures(self):
-        return sorted(name for name, err in self.errors.items() if err >= self.tolerance)
 
 
 def grad_check(params: ModelParams, queries, l2: float = 0.0, epsilon: float = 1e-5,

@@ -1,7 +1,9 @@
 """Brute-force CRF oracles: every label triple scored explicitly.
 
-They are the reference the CRF tests compare the forward algorithm,
-marginals and Viterbi against, so they share no recursion with entrel.crf.
+They are the reference the CRF tests compare the loss, marginals and
+Viterbi against. ``sequence_score`` adds one path's terms one by one, and
+the enumeration builds its cube from per-step terms in its own order, so
+neither shares code with entrel.crf.
 """
 
 import itertools
@@ -9,9 +11,27 @@ import itertools
 import numpy as np
 
 from entrel.crf import SEQ_LEN
-from entrel.kernels import logsumexp
+from entrel.kernels import logsumexp_rows
 
 ENUMERATION_LIMIT = 32  # the oracles refuse larger class spaces
+
+
+def sequence_score(d: np.ndarray, y, q: np.ndarray) -> float:
+    """Score of one label triple, term by term: begin transition, then each
+    emission and the transition after it."""
+    n = d.shape[1]
+    begin, end = n, n + 1
+    y1, y2, y3 = y
+    return float(
+        q[begin, y1] + d[0, y1]
+        + q[y1, y2] + d[1, y2]
+        + q[y2, y3] + d[2, y3]
+        + q[y3, end]
+    )
+
+
+def _logsumexp(scores: np.ndarray) -> float:
+    return float(logsumexp_rows(scores.reshape(1, -1))[0])
 
 
 def enumerate_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -39,7 +59,7 @@ def enumerate_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def brute_force_logZ(d: np.ndarray, q: np.ndarray) -> float:
     """Oracle log-partition: logsumexp over the explicit enumeration."""
-    return logsumexp(enumerate_scores(d, q).ravel())
+    return _logsumexp(enumerate_scores(d, q))
 
 
 def brute_force_best(d: np.ndarray, q: np.ndarray):
@@ -54,7 +74,7 @@ def brute_force_marginals(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Oracle marginals by summing exp(score - logZ) over enumerated paths."""
     n = d.shape[1]
     scores = enumerate_scores(d, q)
-    log_z = logsumexp(scores.ravel())
+    log_z = _logsumexp(scores)
     probs = np.exp(scores - log_z)
     out = np.zeros((SEQ_LEN, n), dtype=d.dtype)
     for y in itertools.product(range(n), repeat=SEQ_LEN):

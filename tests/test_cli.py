@@ -88,6 +88,18 @@ def test_inspect_transitions_and_disagreement(corpus, checkpoint, capsys):
     assert capsys.readouterr().out.startswith("entities: ")
 
 
+@pytest.mark.parametrize("value", ["-inf", "-1e9"])
+def test_negative_value_follows_its_flag(checkpoint, capsys, value):
+    # argparse alone reads -inf and -1e9 as flags and exits 2
+    assert run("inspect-transitions", "--checkpoint", checkpoint, "--threshold", value) == 0
+    assert f"transitions above {float(value)}: 169" in capsys.readouterr().out
+
+
+def test_negative_exponent_reaches_the_value_check(corpus, tmp_path, capsys):
+    assert train(corpus, tmp_path / "run", "--learning-rate", "-1e-2") == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
 def test_gradcheck():
     assert run("gradcheck", "--queries", 1) == 0
 

@@ -242,8 +242,9 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 0]), ("b", [0, 1])], 2)
         table = load_embeddings(path, ["a", "b"])
-        assert table.stats["unk"] == 0
-        assert table.stats["exact"] == 2
+        assert table.unk_row == 2
+        assert np.array_equal(table.matrix[[table.lookup("a"), table.lookup("b")]],
+                              [[1, 0], [0, 1]])
 
     def test_random_table_covers_vocab(self):
         table = random_embeddings(["x", "y"], 4, np.random.default_rng(0))

@@ -9,7 +9,12 @@ from entrel import crf
 from entrel.corpus import LabelSpace
 
 from conftest import finite_difference
-from crf_oracles import brute_force_best, brute_force_logZ, brute_force_marginals
+from crf_oracles import (
+    brute_force_best,
+    brute_force_logZ,
+    brute_force_marginals,
+    sequence_score,
+)
 
 
 def random_instance(rng, n=11, scale=2.0):
@@ -21,7 +26,7 @@ def random_instance(rng, n=11, scale=2.0):
 def log_partition(d, q, gold=(0, 0, 0)):
     """log Z read off the loss: loss = log Z - score(gold), for any gold."""
     loss, _, _ = crf.nll_and_gradients(d, q, gold)
-    return loss + crf.sequence_score(d, gold, q)
+    return loss + sequence_score(d, gold, q)
 
 
 def marginals(d, q, gold=(0, 0, 0)):
@@ -45,16 +50,18 @@ def itertools_logz(d, q):
 
 
 class TestSequenceScore:
+    """The oracle the tests read gold path scores from."""
+
     def test_toy_direct_sum(self):
         d = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
         q = np.full((4, 4), 0.5)
-        assert crf.sequence_score(d, (0, 1, 0), q) == pytest.approx(8.0)
+        assert sequence_score(d, (0, 1, 0), q) == pytest.approx(8.0)
 
     def test_all_zero(self):
         d = np.zeros((3, 4))
         q = np.zeros((6, 6))
         for y in itertools.product(range(4), repeat=3):
-            assert crf.sequence_score(d, y, q) == 0.0
+            assert sequence_score(d, y, q) == 0.0
 
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(0)
@@ -65,13 +72,7 @@ class TestSequenceScore:
         expected += q[3, 1] + d[1, 1]
         expected += q[1, 4] + d[2, 4]
         expected += q[4, 6]
-        assert crf.sequence_score(d, y, q) == pytest.approx(expected, abs=1e-15)
-
-    def test_out_of_range_label(self):
-        d = np.zeros((3, 4))
-        q = np.zeros((6, 6))
-        with pytest.raises(ValueError):
-            crf.sequence_score(d, (0, 4, 0), q)  # 4 is the begin tag
+        assert sequence_score(d, y, q) == pytest.approx(expected, abs=1e-15)
 
 
 class TestForwardLogZ:
@@ -116,7 +117,7 @@ class TestBruteForce:
         d = np.zeros((3, 4))
         d[0, 1] = d[1, 2] = d[2, 3] = 1e6
         q = np.zeros((6, 6))
-        score = crf.sequence_score(d, (1, 2, 3), q)
+        score = sequence_score(d, (1, 2, 3), q)
         assert brute_force_logZ(d, q) == pytest.approx(score, abs=1e-9)
 
     def test_refuses_large_spaces(self):
@@ -179,8 +180,8 @@ class TestViterbi:
         q[0, 0] = 1.0
         q[2, end] = 0.0
         q[0, end] = 0.0
-        assert crf.sequence_score(d, (0, 1, 2), q) == pytest.approx(3.0)
-        assert crf.sequence_score(d, (1, 0, 0), q) == pytest.approx(3.0)
+        assert sequence_score(d, (0, 1, 2), q) == pytest.approx(3.0)
+        assert sequence_score(d, (1, 0, 0), q) == pytest.approx(3.0)
         best, score = crf.viterbi(d, q)
         assert best == brute_force_best(d, q)[0] == (0, 1, 2)
         assert score == pytest.approx(3.0)
@@ -282,7 +283,7 @@ class TestNllAndGradients:
         _, grad_d, grad_q = crf.nll_and_gradients(d, q, gold)
 
         def objective():
-            return brute_force_logZ(d, q) - crf.sequence_score(d, gold, q)
+            return brute_force_logZ(d, q) - sequence_score(d, gold, q)
 
         num_d = finite_difference(objective, d)
         num_q = finite_difference(objective, q)
@@ -307,14 +308,21 @@ class TestNllAndGradients:
             d, q = random_instance(rng, n=4)
             logz = log_partition(d, q)
             for y in itertools.product(range(4), repeat=3):
-                assert crf.sequence_score(d, y, q) <= logz + 1e-12
+                assert sequence_score(d, y, q) <= logz + 1e-12
+
+    def test_out_of_range_label(self):
+        d = np.zeros((3, 4))
+        q = np.zeros((6, 6))
+        for gold in ((0, 4, 0), (-1, 0, 0), (0, 0)):  # 4 is the begin tag
+            with pytest.raises(ValueError, match="out of class range"):
+                crf.nll_and_gradients(d, q, gold)
 
     def test_path_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)
         d, q = random_instance(rng)
         logz = log_partition(d, q)
         total = sum(
-            math.exp(crf.sequence_score(d, y, q) - logz)
+            math.exp(sequence_score(d, y, q) - logz)
             for y in itertools.product(range(11), repeat=3)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -333,7 +341,7 @@ class TestMaskedNll:
             loss, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
             masked = crf.apply_position_mask(d, allowed)
             assert loss == pytest.approx(
-                brute_force_logZ(masked, q) - crf.sequence_score(d, gold, q), abs=1e-9)
+                brute_force_logZ(masked, q) - sequence_score(d, gold, q), abs=1e-9)
             onehot = np.zeros_like(d)
             onehot[np.arange(3), gold] = 1.0
             assert np.allclose(grad_d + onehot, brute_force_marginals(masked, q), atol=1e-9)

@@ -10,7 +10,7 @@ from entrel.kernels import (
     conv1d_backward,
     kmax_pool,
     kmax_pool_backward,
-    logsumexp,
+    logsumexp_rows,
     matvec,
     rel_error,
     scaled_uniform,
@@ -205,6 +205,11 @@ class TestKMaxPool:
         assert grad[:, 0].tolist() == [1.0, 0.0, 12.0, 0.0]
 
 
+def logsumexp(xs):
+    """logsumexp_rows of one vector, as one row."""
+    return float(logsumexp_rows(np.asarray(xs, dtype=float).reshape(1, -1))[0])
+
+
 class TestLogsumexp:
     def test_ln2(self):
         assert math.isclose(logsumexp(np.zeros(2)), math.log(2), rel_tol=1e-12)
@@ -223,13 +228,27 @@ class TestLogsumexp:
 
     def test_empty_is_domain_error(self):
         with pytest.raises(ValueError):
-            logsumexp(np.array([]))
+            logsumexp_rows(np.zeros((1, 0)))
+        with pytest.raises(ValueError):
+            logsumexp_rows(np.array([]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=9),
            st.floats(-1e5, 1e5))
     def test_shift_invariance(self, values, shift):
         xs = np.array(values)
         assert abs(logsumexp(xs + shift) - (logsumexp(xs) + shift)) < 1e-9
+
+    def test_rows_reduce_independently(self):
+        # rows at very different scales: each is shifted by its own max
+        rng = np.random.default_rng(4)
+        mat = rng.normal(size=(4, 7)) * 3 + np.array([[-800.0], [0.0], [5.0], [900.0]])
+        out = logsumexp_rows(mat)
+        assert out.shape == (4,)
+        for row, value in zip(mat, out):
+            m = row.max()
+            expected = m + math.log(math.fsum(math.exp(x - m) for x in row))
+            assert math.isclose(value, expected, rel_tol=1e-12)
+            assert value == logsumexp(row)
 
 
 class TestBackwardPasses:

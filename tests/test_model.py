@@ -34,7 +34,7 @@ from entrel.querygen import Query, QueryError, gen_setup1, gen_setup3
 
 import softmax_oracles
 from conftest import FIG_TOKENS, TINY_HYPER, finite_difference
-from crf_oracles import brute_force_logZ
+from crf_oracles import brute_force_logZ, sequence_score
 
 
 def make_sentence():
@@ -81,6 +81,8 @@ class TestHyperParams:
             HyperParams(nk_c=0)
         with pytest.raises(ValueError):
             HyperParams(output_layer="maxent")
+        with pytest.raises(ValueError, match="dtype"):
+            HyperParams(dtype="float16")
 
 
 def naive_pooled(part, params, prefix):
@@ -521,7 +523,7 @@ class TestBackward:
         def objective():
             d, _ = forward_query(query, params)
             q = params.transitions.value
-            return brute_force_logZ(d, q) - crf.sequence_score(d, gold, q)
+            return brute_force_logZ(d, q) - sequence_score(d, gold, q)
 
         params.zero_grads()
         d, cache = forward_query(query, params)
@@ -602,8 +604,13 @@ class TestCheckpoint:
         (lambda m: m.update(bogus=1), "manifest has unknown key bogus"),
         (lambda m: m["tensors"][2].pop("offset"), "tensor entry lacks key offset"),
         (lambda m: m.update(dtype="float16"), "unknown dtype float16"),
+        (lambda m: m["hyperparams"].update(dtype="float16"),
+         "hyperparams: unknown dtype 'float16'"),
+        (lambda m: m["hyperparams"].update(dtype="float32"),
+         "dtype float64 disagrees with hyperparams dtype float32"),
     ], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key", "unknown-key",
-            "missing-entry-key", "unknown-dtype"])
+            "missing-entry-key", "unknown-dtype", "unknown-hyperparams-dtype",
+            "dtypes-disagree"])
     def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, message):
         params = make_params(seed=17)
         save_checkpoint(tmp_path / "ck", params, seed=17)

@@ -17,14 +17,14 @@ from entrel.training import (
 from conftest import TINY_HYPER
 
 
-def build(seed=5, n_sentences=60, **hyper_overrides):
+def build(seed=5, n_sentences=60, trainable=True, **hyper_overrides):
     ls = LabelSpace()
     grammar = synth.default_grammar(seed=3)
     sentences = synth.generate(grammar, n_sentences)
     train_s, dev_s = synth.split_corpus(sentences, 0.2)
     hyper = HyperParams(**{**TINY_HYPER, **hyper_overrides})
     table = random_embeddings(corpus_vocabulary(sentences), hyper.emb_dim,
-                              np.random.default_rng(seed + 50))
+                              np.random.default_rng(seed + 50), trainable)
     params = init_params(hyper, ls, table, seed=seed)
     return params, gen_setup1(train_s), gen_setup1(dev_s), dev_s
 
@@ -182,10 +182,10 @@ class TestTrainLoop:
         assert state.best_metric >= 0.85
 
     def test_freeze_embeddings_flag(self):
-        params, train_q, dev_q, _ = build(n_sentences=20)
+        # the table train --freeze-embeddings builds
+        params, train_q, dev_q, _ = build(n_sentences=20, trainable=False)
         emb_before = params["embeddings"].value.copy()
-        config = TrainConfig(max_epochs=1, seed=4, freeze_embeddings=True)
-        train_loop(params, train_q, dev_q, config)
+        train_loop(params, train_q, dev_q, TrainConfig(max_epochs=1, seed=4))
         assert np.array_equal(params["embeddings"].value, emb_before)
 
 
@@ -215,7 +215,7 @@ class TestGradCheck:
         assert not report.passed
         # the corruption sits upstream of the hidden-layer weights
         assert any(name.endswith(("ctx_w", "ent_w", "ctx_b", "ent_b"))
-                   for name in report.failures)
+                   for name, err in report.errors.items() if err >= report.tolerance)
 
     def test_vacuous_pass_with_empty_tensor_list(self):
         params, train_q, *_ = build(n_sentences=16)
