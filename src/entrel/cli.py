@@ -282,10 +282,12 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         self.dests = {}  # before super().__init__, which adds --help
+        self.flags = {}  # every option string, --help included -> its action
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
+        self.flags.update(dict.fromkeys(action.option_strings, action))
         if action.default is not argparse.SUPPRESS:  # --help carries no value
             self.dests[action.dest] = action
         return action
@@ -303,14 +305,21 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(bound, namespace)
 
     def _accepts(self, flag: str, text: str) -> bool:
-        for action in self.dests.values():
-            if flag in action.option_strings and action.nargs is None and action.type:
-                try:
-                    action.type(text)
-                    return True
-                except ValueError:
-                    return False
-        return False
+        # a flag is its own option string or, as argparse resolves it, a
+        # prefix of exactly one long option string; an ambiguous prefix
+        # binds nothing and stays argparse's usage error
+        names = [flag] if flag in self.flags else [
+            name for name in self.flags if flag.startswith("--") and name.startswith(flag)]
+        if len(names) != 1:
+            return False
+        action = self.flags[names[0]]
+        if action.nargs is not None or not action.type:
+            return False
+        try:
+            action.type(text)
+            return True
+        except ValueError:
+            return False
 
 
 def build_parser():

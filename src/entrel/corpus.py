@@ -168,6 +168,17 @@ class ColumnMap:
     split_slash: bool = True  # split multi-token entity words joined with "/"
 
 
+def _text_lines(handle, path):
+    """(line number, text) of each line of a file opened in binary mode; a
+    line that is not UTF-8 is a CorpusError naming it."""
+    for line_no, raw in enumerate(handle, start=1):
+        try:
+            yield line_no, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"not UTF-8 text ({exc.reason} at byte {exc.start} of the line)",
+                              path, line_no) from None
+
+
 def _split_fields(line: str):
     return line.split("\t") if "\t" in line else line.split()
 
@@ -222,9 +233,9 @@ def parse_raw(path, column_map: ColumnMap | None = None):
         sentences.append(sentence)
         rows, rels, block_sent_field = [], [], None
 
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         line_no = 0
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in _text_lines(handle, path):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -282,26 +293,51 @@ def sentence_to_record(sentence: Sentence) -> dict:
     }
 
 
+def _record_items(record: dict, key: str, int_fields, bad):
+    """The objects of a record's list field ``key`` as tuples: its integer
+    fields, then its "type" string."""
+    items = record[key]
+    if not isinstance(items, list):
+        raise bad(f"field {key!r} is not a list")
+    out = []
+    for number, item in enumerate(items):
+        where = f"{key}[{number}]"
+        if not isinstance(item, dict):
+            raise bad(f"{where} is not an object")
+        for name in (*int_fields, "type"):
+            if name not in item:
+                raise bad(f"{where} lacks field {name!r}")
+            value = item[name]
+            # bool is an int subclass; JSON true is no token index
+            valid = isinstance(value, str) if name == "type" else type(value) is int
+            if not valid:
+                kind = "a string" if name == "type" else "an integer"
+                raise bad(f"{where}.{name} is not {kind}: {value!r}")
+        out.append(tuple(item[name] for name in (*int_fields, "type")))
+    return out
+
+
 def sentence_from_record(record: dict, index: int, path=None) -> Sentence:
+    def bad(message):
+        return CorpusError(f"record {index}: {message}", path)
+
+    if not isinstance(record, dict):
+        raise bad("not a JSON object")
     for key in _SENTENCE_FIELDS:
         if key not in record:
-            raise CorpusError(f"record {index}: missing field {key!r}", path)
-    try:
-        entities = [
-            EntityMention(int(e["start"]), int(e["end"]), str(e["type"]))
-            for e in record["entities"]
-        ]
-        relations = [
-            RelationAnnotation(int(r["head"]), int(r["tail"]), str(r["type"]))
-            for r in record["relations"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise CorpusError(f"record {index}: malformed entity/relation object ({exc})", path)
-    sentence = Sentence(str(record["id"]), [str(t) for t in record["tokens"]], entities, relations)
+            raise bad(f"missing field {key!r}")
+    tokens = record["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise bad("field 'tokens' is not a list of strings")
+    entities = [EntityMention(*item) for item in
+                _record_items(record, "entities", ("start", "end"), bad)]
+    relations = [RelationAnnotation(*item) for item in
+                 _record_items(record, "relations", ("head", "tail"), bad)]
+    sentence = Sentence(str(record["id"]), list(tokens), entities, relations)
     try:
         sentence.validate()
     except CorpusError as exc:
-        raise CorpusError(f"record {index}: {exc}", path) from None
+        raise bad(exc) from None
     return sentence
 
 
@@ -314,8 +350,9 @@ def write_canonical(path, sentences):
 
 def load_canonical(path):
     sentences = []
-    with open(path, encoding="utf-8") as handle:
-        for index, line in enumerate(handle):
+    with open(path, "rb") as handle:
+        for line_no, line in _text_lines(handle, path):
+            index = line_no - 1
             line = line.strip()
             if not line:
                 continue
@@ -379,17 +416,18 @@ def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> 
     vocab = list(vocab)
     wanted = set(vocab) | {w.lower() for w in vocab}
     found = {}
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise CorpusError(f"bad embedding header {header.strip()!r}", path, 1)
+    first_line = {}  # every word of the file -> the line of its row
+    with open(path, "rb") as handle:
+        lines = _text_lines(handle, path)
+        header = next(lines, (1, ""))[1]
         try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
+            count, dim = (int(part) for part in header.split())
+        except ValueError:  # not two integers
+            count = dim = -1
+        if count < 0 or dim < 1:
             raise CorpusError(f"bad embedding header {header.strip()!r}", path, 1)
-        for line_no, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
+        for line_no, line in lines:
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             fields = line.split(" ")
@@ -398,9 +436,12 @@ def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> 
                 raise CorpusError(
                     f"row has {len(values)} values, header says {dim}", path, line_no
                 )
-            if word in wanted and word not in found:
-                found[word] = np.array([float(v) for v in values], dtype=dtype)
-    del count  # informational only; rows are trusted over the header count
+            if word in first_line:
+                raise CorpusError(f"word {word!r} repeats the row on line {first_line[word]}",
+                                  path, line_no)
+            first_line[word] = line_no
+            if word in wanted:
+                found[word] = _row_vector(word, values, dtype, path, line_no)
 
     matrix = np.zeros((len(vocab) + 1, dim), dtype=dtype)
     unk_row = len(vocab)
@@ -419,6 +460,19 @@ def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> 
         row += 1
     matrix = np.vstack([matrix[:row], matrix[unk_row : unk_row + 1]])
     return EmbeddingTable(dim, table_vocab, matrix, row, trainable)
+
+
+def _row_vector(word, values, dtype, path, line_no) -> np.ndarray:
+    """The finite vector an embedding row's value fields spell."""
+    try:
+        vec = np.array([float(v) for v in values], dtype=dtype)
+    except ValueError as exc:
+        raise CorpusError(f"row of {word!r}: {exc}", path, line_no) from None
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise CorpusError(f"row of {word!r} holds the non-finite value {values[bad[0]]!r}",
+                          path, line_no)
+    return vec
 
 
 def random_embeddings(vocab, dim, rng, trainable=True, dtype=np.float64) -> EmbeddingTable:

@@ -21,22 +21,27 @@ SEQ_LEN = 3
 MASK_PENALTY = -1e9  # additive penalty for classes disallowed at a position
 
 
-def _check_shapes(d: np.ndarray, q: np.ndarray, ndim: int = 2) -> int:
-    """Class count N of score sequences d [..., 3, N] with ndim axes."""
-    if d.ndim != ndim or d.shape[-2] != SEQ_LEN:
+def _as_batch(d: np.ndarray, q: np.ndarray):
+    """Score sequences d, one [3, N] or a batch [B, 3, N], as a batch; their
+    class count N; and whether d was one sequence."""
+    single = d.ndim == 2
+    batch = d[None] if single else d
+    if batch.ndim != 3 or batch.shape[1] != SEQ_LEN:
         raise ValueError(f"score sequence must be {SEQ_LEN}xN, got {d.shape}")
     n = d.shape[-1]
     if q.shape != (n + 2, n + 2):
         raise ValueError(
             f"transition matrix must be {(n + 2, n + 2)} for {n} classes, got {q.shape}"
         )
-    return n
+    return batch, n, single
 
 
-def _check_labels(y, n: int):
-    y = tuple(int(v) for v in y)
-    if len(y) != SEQ_LEN or any(v < 0 or v >= n for v in y):
-        raise ValueError(f"label sequence {y} out of class range 0..{n - 1}")
+def _check_labels(gold, n: int, shape) -> np.ndarray:
+    """Gold label triples as ints of ``shape`` ([3] or [B, 3]) in class range."""
+    y = np.asarray(gold, dtype=np.intp)
+    if y.shape != shape or (y < 0).any() or (y >= n).any():
+        raise ValueError(f"label sequence {np.asarray(gold).tolist()} out of class "
+                         f"range 0..{n - 1}")
     return y
 
 
@@ -56,42 +61,50 @@ def _path_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold, allowed: np.ndarray | None = None):
     """Negative log-likelihood of the gold triple plus exact gradients.
 
-    Returns (loss, grad_d, grad_q) with loss = logZ - score(gold),
-    grad_d[i, c] = P(y_i = c) - [gold_i = c] and grad_q = expected minus
-    observed transition counts, begin/end transitions included. With an
+    d is one score sequence [3, N] with one gold triple, giving (loss,
+    grad_d [3, N], grad_q), or a batch [B, 3, N] with gold triples [B, 3],
+    giving (losses [B], grad_d [B, 3, N], grad_q). Each batch row's loss is
+    logZ - score(gold) and its grad_d[i, c] = P(y_i = c) - [gold_i = c], as
+    it would be alone; grad_q = expected minus observed transition counts,
+    begin/end transitions included, summed over the batch. With an
     ``allowed`` mask [3, N] the classes it forbids are penalized as in
     ``viterbi``; a gold triple the mask forbids is a ValueError.
     """
-    n = _check_shapes(d, q)
-    y1, y2, y3 = _check_labels(gold, n)
+    batch, n, single = _as_batch(d, q)
+    shape = (SEQ_LEN,) if single else (len(batch), SEQ_LEN)
+    gold = _check_labels(gold, n, shape).reshape(-1, SEQ_LEN)
     if allowed is not None:
-        d = apply_position_mask(d, allowed)
-        if not allowed[np.arange(SEQ_LEN), (y1, y2, y3)].all():
-            raise ValueError(f"gold triple {(y1, y2, y3)} is outside the position mask")
+        batch = apply_position_mask(batch, allowed)
+        outside = ~allowed[np.arange(SEQ_LEN), gold].all(axis=1)
+        if outside.any():
+            triple = tuple(gold[outside][0].tolist())
+            raise ValueError(f"gold triple {triple} is outside the position mask")
+    y1, y2, y3 = gold.T
+    rows = np.arange(len(batch))
     begin, end = n, n + 1
-    scores = _path_scores(d, q)
-    log_z = logsumexp_rows(scores.reshape(1, -1))[0]
-    probs = np.exp(scores - log_z)
-    pair_12 = probs.sum(axis=2)  # P(y1, y2)
-    pair_23 = probs.sum(axis=0)  # P(y2, y3)
-    first, last = pair_12.sum(axis=1), pair_23.sum(axis=0)
+    scores = _path_scores(batch, q)
+    log_z = logsumexp_rows(scores.reshape(len(batch), -1))
+    probs = np.exp(scores - log_z[:, None, None, None])
+    pair_12 = probs.sum(axis=3)  # P(y1, y2)
+    pair_23 = probs.sum(axis=1)  # P(y2, y3)
+    first, last = pair_12.sum(axis=2), pair_23.sum(axis=1)
 
-    grad_d = np.stack([first, pair_12.sum(axis=0), last])
-    grad_d[0, y1] -= 1.0
-    grad_d[1, y2] -= 1.0
-    grad_d[2, y3] -= 1.0
+    grad_d = np.stack([first, pair_12.sum(axis=1), last], axis=1)
+    grad_d[rows, 0, y1] -= 1.0
+    grad_d[rows, 1, y2] -= 1.0
+    grad_d[rows, 2, y3] -= 1.0
 
     grad_q = np.zeros_like(q)
-    grad_q[:n, :n] = pair_12 + pair_23
-    grad_q[y1, y2] -= 1.0
-    grad_q[y2, y3] -= 1.0
-    grad_q[begin, :n] = first
-    grad_q[begin, y1] -= 1.0
-    grad_q[:n, end] = last
-    grad_q[y3, end] -= 1.0
+    grad_q[:n, :n] = (pair_12 + pair_23).sum(axis=0)
+    grad_q[begin, :n] = first.sum(axis=0)
+    grad_q[:n, end] = last.sum(axis=0)
+    for source, target in ((y1, y2), (y2, y3), (begin, y1), (y3, end)):
+        np.subtract.at(grad_q, (source, target), 1.0)
 
-    loss = float(log_z - scores[y1, y2, y3])
-    return loss, grad_d, grad_q
+    losses = log_z - scores[rows, y1, y2, y3]
+    if single:
+        return float(losses[0]), grad_d[0], grad_q
+    return losses, grad_d, grad_q
 
 
 def apply_position_mask(d: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -114,9 +127,7 @@ def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None):
     sequence): C order lists the triples of the path-score cube
     lexicographically, and argmax takes the first maximum.
     """
-    single = d.ndim == 2
-    batch = d[None] if single else d
-    n = _check_shapes(batch, q, ndim=3)
+    batch, n, single = _as_batch(d, q)
     if allowed is not None:
         batch = apply_position_mask(batch, allowed)
     flat = _path_scores(batch, q).reshape(len(batch), -1)

@@ -4,7 +4,8 @@ All functions operate on plain numpy arrays and are pure: forward ops take
 inputs and return outputs, backward ops take the upstream gradient plus the
 values recorded at forward time and return input gradients. Callers own the
 bookkeeping of which forward values feed which backward call (see
-``model.forward_query`` / ``model.backward_query``).
+``model.forward_sentences`` / ``model.backward_query``, which run each
+kernel once for a whole mini-batch).
 
 float64 is the default dtype and the one all gradient checks run in;
 float32 is accepted everywhere for faster training.
@@ -32,9 +33,8 @@ def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _im2col(seq: np.ndarray, width: int) -> np.ndarray:
     """[L, emb] -> [L-w+1, w*emb]: row t holds seq[t], ..., seq[t+w-1]."""
-    length, emb = seq.shape
-    windows = np.lib.stride_tricks.sliding_window_view(seq, width, axis=0)  # [T, emb, w]
-    return windows.transpose(0, 2, 1).reshape(length - width + 1, width * emb)
+    steps = seq.shape[0] - width + 1
+    return np.concatenate([seq[i : i + steps] for i in range(width)], axis=1)
 
 
 def conv1d(seq: np.ndarray, filters: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ full unified label space.
 
 Every part is a prefix, a suffix or a span of the query's sentence, so a
 ``SentenceEncoding`` runs each CNN once over the sentence and pools each part
-from a row slice of that conv. Training encodes one query at a time;
-``predict_queries`` encodes each sentence once for all its queries and
-decodes them as one batch.
+from a row slice of that conv. Training packs all the sentences of a
+mini-batch into one encoding and runs each layer once for the batch
+(``forward_sentences``, ``backward_query``); ``predict_queries`` encodes
+each sentence once for all its queries and decodes them as one batch.
 
 Both output layers are the linear chain of ``crf`` over the score sequence
 (``output_chain``): the CRF with its learned transitions, globally
@@ -199,12 +200,13 @@ def init_params(hyper: HyperParams, label_space: LabelSpace,
 
 
 def _cnn_layout(n_tokens: int, parts, width: int):
-    """Input rows of one CNN pass over a sentence, and the conv rows of each part.
+    """Input rows of one CNN pass over a token sequence (one sentence, or
+    several packed end to end), and the conv rows of each part.
 
     A part (a, b) at least ``width`` tokens long is a row slice of the
-    sentence's own narrow conv: conv(tokens[a:b]) == conv(tokens)[a : b-width+1].
+    sequence's own narrow conv: conv(tokens[a:b]) == conv(tokens)[a : b-width+1].
     A shorter part, empty ones included, gets its own copy right-padded with
-    zero rows to ``width``, appended after the sentence, whose single conv row
+    zero rows to ``width``, appended after the sequence, whose single conv row
     is the zero-padded conv of that part alone. Conv rows that straddle two
     segments are computed but never pooled.
 
@@ -242,7 +244,7 @@ def _pool_windows(conv, windows, k):
 
 
 class _CnnPass:
-    """One CNN run once over a sentence, pooled for a list of parts.
+    """One CNN run once over a token sequence, pooled for a list of parts.
 
     ``features`` holds each span's pooled parts, flattened in part order.
     Gradients on them accumulate in ``grad_pooled`` until ``backward``.
@@ -287,21 +289,32 @@ class _CnnPass:
 
 
 class SentenceEncoding:
-    """Both CNNs run once over one sentence, pooled for a set of entity spans.
+    """Both CNNs run once over sentences packed end to end, pooled for each
+    sentence's entity spans.
 
-    Span u = (s, e) owns three parts: the context CNN pools its left context
+    ``sentences`` lists (tokens, spans) pairs. Span u = (s, e) of a sentence
+    owns three parts of it: the context CNN pools its left context
     tokens[:s] and right context tokens[e:], the entity CNN pools the span
-    tokens[s:e]. An EC input is one span's parts and an RE input a span
-    pair's (left_i, mid_i = tokens[e_i:], left_j, right_j; ent_i, ent_j), so
-    every query over the sentence reads its features from here.
+    tokens[s:e]. Features are indexed by span, sentence after sentence. An
+    EC input is one span's parts and an RE input a span pair's (left_i,
+    mid_i = tokens[e_i:], left_j, right_j; ent_i, ent_j), so every query
+    over the sentences reads its features from here. No part spans two
+    sentences, so packing them changes no pooled value.
     """
 
-    def __init__(self, tokens, spans, params: ModelParams):
+    def __init__(self, sentences, params: ModelParams):
         hyper = params.hyper
-        ids = np.array([params.embeddings.lookup(tok) for tok in tokens], dtype=np.intp)
-        ctx_parts = [part for s, e in spans for part in ((0, s), (e, len(tokens)))]
-        self.ctx = _CnnPass(ids, params, "ctx", hyper.ctx_width, ctx_parts, len(spans))
-        self.ent = _CnnPass(ids, params, "ent", hyper.ent_width, list(spans), len(spans))
+        lookup = params.embeddings.lookup
+        ids, ctx_parts, ent_parts = [], [], []
+        for tokens, spans in sentences:
+            lo, hi = len(ids), len(ids) + len(tokens)
+            ids += [lookup(tok) for tok in tokens]
+            for s, e in spans:
+                ctx_parts += ((lo, lo + s), (lo + e, hi))
+                ent_parts.append((lo + s, lo + e))
+        ids = np.array(ids, dtype=np.intp)
+        self.ctx = _CnnPass(ids, params, "ctx", hyper.ctx_width, ctx_parts, len(ent_parts))
+        self.ent = _CnnPass(ids, params, "ent", hyper.ent_width, ent_parts, len(ent_parts))
 
     def backward(self, params: ModelParams):
         """Accumulate both CNNs' gradients from what encode_task_backward routed here."""
@@ -310,7 +323,8 @@ class SentenceEncoding:
 
 
 def encode_task(enc: SentenceEncoding, task: str, span_ids, params: ModelParams):
-    """Task representations h_z [B, h_c + h_e] for B inputs over one sentence.
+    """Task representations h_z [B, h_c + h_e] for B inputs over the
+    sentences of one encoding.
 
     ``span_ids`` [B, S] indexes spans of ``enc``: one span per EC input, the
     ordered pair (e1, e2) per RE input. The inputs' context parts and entity
@@ -350,7 +364,8 @@ def score_task(h, task: str, params: ModelParams):
 
 
 def encode_task_backward(grad_h, cache, params: ModelParams):
-    """Accumulate gradients of one encode_task call into the param buffers;
+    """Accumulate gradients of one encode_task call into the param buffers,
+    each weight gradient as one matrix product over the call's inputs;
     the pooled-feature gradient goes to the sentence encoding, whose
     ``backward`` finishes the CNNs."""
     ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(cache["task"])
@@ -366,28 +381,41 @@ def encode_task_backward(grad_h, cache, params: ModelParams):
     enc.ent.add_grad(span_ids, grad_pre_ent @ ent_w.value.T)
 
 
-def _sentence_spans(queries):
+def _sentence_spans(queries, offset: int):
     """Sorted entity spans of queries over one sentence, and each query's
-    (span_i, span_j) as row indices into them."""
+    (span_i, span_j) as row indices into them, counted from ``offset``."""
     n_tokens = len(queries[0].sentence.tokens)
     for query in queries:
         check_spans(n_tokens, query.span_i, query.span_j)
     spans = sorted({span for query in queries for span in (query.span_i, query.span_j)})
-    row = {span: index for index, span in enumerate(spans)}
-    pairs = np.array([(row[q.span_i], row[q.span_j]) for q in queries], dtype=np.intp)
-    return spans, pairs
+    row = {span: offset + index for index, span in enumerate(spans)}
+    return spans, [(row[q.span_i], row[q.span_j]) for q in queries]
 
 
-def _forward_sentence(queries, params: ModelParams):
-    """Score sequences [B, 3, N] of queries that share one sentence, plus
-    the cache backward_query needs.
+def sentence_groups(queries):
+    """Indices of the queries over each sentence, sentences in order of first use."""
+    groups = {}
+    for index, query in enumerate(queries):
+        groups.setdefault(id(query.sentence), []).append(index)
+    return list(groups.values())
 
-    The sentence is encoded once; each distinct entity span gets one EC
-    representation, each query one RE representation.
+
+def forward_sentences(groups, params: ModelParams):
+    """Score sequences [B, 3, N] of queries given as one list per sentence
+    (rows follow the lists in order), plus the cache backward_query needs.
+
+    The sentences are packed into one encoding; each distinct entity span of
+    a sentence gets one EC representation, each query one RE representation.
     """
-    spans, pairs = _sentence_spans(queries)
-    enc = SentenceEncoding(queries[0].sentence.tokens, spans, params)
-    h_ec, c_ec = encode_task(enc, "ec", np.arange(len(spans))[:, None], params)
+    packed, pairs, n_spans = [], [], 0
+    for queries in groups:
+        spans, rows = _sentence_spans(queries, n_spans)
+        packed.append((queries[0].sentence.tokens, spans))
+        pairs += rows
+        n_spans += len(spans)
+    pairs = np.array(pairs, dtype=np.intp)
+    enc = SentenceEncoding(packed, params)
+    h_ec, c_ec = encode_task(enc, "ec", np.arange(n_spans)[:, None], params)
     h_re, c_re = encode_task(enc, "re", pairs, params)
     s_ec = score_task(h_ec, "ec", params)
     s_re = score_task(h_re, "re", params)
@@ -398,12 +426,14 @@ def _forward_sentence(queries, params: ModelParams):
 
 def forward_query(query: Query, params: ModelParams):
     """Score sequence d (3 x N): EC scores for e1, RE scores, EC scores for e2."""
-    d, cache = _forward_sentence([query], params)
+    d, cache = forward_sentences([[query]], params)
     return d[0], cache
 
 
 def backward_query(grad_d, cache, params: ModelParams):
-    """Push a gradient on the score sequence back into all parameters."""
+    """Push gradients on score sequences ([3, N] from forward_query, or
+    [B, 3, N] from forward_sentences) back into all parameters: one product
+    per layer for the whole batch."""
     if cache is None:
         raise RuntimeError("backward_query called before forward_query")
     pairs = cache["pairs"]
@@ -459,12 +489,9 @@ def predict_queries(queries, params: ModelParams, masked: bool = False):
     go, so a query's prediction never depends on other sentences' queries
     in the call.
     """
-    groups = {}
-    for index, query in enumerate(queries):
-        groups.setdefault(id(query.sentence), []).append(index)
     preds = [None] * len(queries)
-    for members in groups.values():
-        d, _ = _forward_sentence([queries[i] for i in members], params)
+    for members in sentence_groups(queries):
+        d, _ = forward_sentences([[queries[i] for i in members]], params)
         for index, pred in zip(members, decode_query(d, params, masked)):
             preds[index] = pred
     return preds

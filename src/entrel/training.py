@@ -17,11 +17,12 @@ from entrel.kernels import rel_error
 from entrel.model import (
     ModelParams,
     backward_query,
-    forward_query,
+    forward_sentences,
     gold_indices,
     output_chain,
     predict_queries,
     save_checkpoint,
+    sentence_groups,
 )
 from entrel.evaluation import score_queries
 from entrel.querygen import ConfigError
@@ -58,28 +59,30 @@ class TrainState:
     log: list = field(default_factory=list)
 
 
-def query_loss_and_backward(query, params: ModelParams) -> float:
-    """Forward + loss + full backward for one query; grads accumulate."""
-    gold = gold_indices(query, params.label_space)
-    d, cache = forward_query(query, params)
+def _batch_nll(queries, params: ModelParams):
+    """One batched forward and loss call over queries from any sentences:
+    ((losses [B], grad_d [B, 3, N], grad_q summed over the batch), cache),
+    rows grouped by sentence."""
+    groups = [[queries[i] for i in members] for members in sentence_groups(queries)]
+    d, cache = forward_sentences(groups, params)
+    gold = [gold_indices(query, params.label_space) for group in groups for query in group]
     q, allowed = output_chain(params)
-    loss, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
+    return crf.nll_and_gradients(d, q, gold, allowed), cache
+
+
+def query_loss_and_backward(queries, params: ModelParams) -> float:
+    """Forward, loss and full backward for a batch of queries in one pass;
+    gradients accumulate as sums over the batch. Returns the summed loss."""
+    (losses, grad_d, grad_q), cache = _batch_nll(queries, params)
     if params.hyper.output_layer == "crf":
         params.transitions.grad += grad_q
     backward_query(grad_d, cache, params)
-    return float(loss)
-
-
-def query_loss(query, params: ModelParams) -> float:
-    """Forward-only loss for one query (used by the gradient checker)."""
-    gold = gold_indices(query, params.label_space)
-    d, _ = forward_query(query, params)
-    q, allowed = output_chain(params)
-    return crf.nll_and_gradients(d, q, gold, allowed)[0]
+    return float(losses.sum())
 
 
 def sgd_step(params: ModelParams, lr: float, l2: float):
-    """theta <- theta - lr * (grad + l2 * theta) for every trainable tensor.
+    """theta <- theta * (1 - lr * l2) - lr * grad for every trainable tensor,
+    in place; the gradient buffers are left holding lr * grad.
 
     Gradient buffers must already hold the batch mean. Every gradient is
     checked before any tensor moves, so a non-finite one leaves the
@@ -87,10 +90,14 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
     """
     trainable = params.trainable_tensors()
     for tensor in trainable:
-        if not np.isfinite(tensor.grad).all():
+        # a NaN reaches both the min and the max; an infinity is one of them
+        if not (math.isfinite(tensor.grad.min()) and math.isfinite(tensor.grad.max())):
             raise RuntimeError(f"non-finite gradient in tensor {tensor.name}")
     for tensor in trainable:
-        tensor.value -= lr * (tensor.grad + l2 * tensor.value)
+        tensor.grad *= lr
+        if l2:
+            tensor.value *= 1.0 - lr * l2
+        tensor.value -= tensor.grad
 
 
 def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainConfig,
@@ -115,15 +122,19 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
         state.epoch = epoch
         order = rng.permutation(len(train_queries))
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for number, start in enumerate(range(0, len(order), config.batch_size), start=1):
+            batch = [train_queries[index] for index in order[start : start + config.batch_size]]
             params.zero_grads()
-            for index in batch:
-                epoch_loss += query_loss_and_backward(train_queries[int(index)], params)
+            epoch_loss += query_loss_and_backward(batch, params)
             scale = 1.0 / len(batch)
             for tensor in trainable:
                 tensor.grad *= scale
-            sgd_step(params, state.lr, config.l2)
+            try:
+                sgd_step(params, state.lr, config.l2)
+            except RuntimeError as exc:
+                ids = ", ".join(dict.fromkeys(query.sentence_id for query in batch))
+                raise RuntimeError(f"epoch {epoch}, batch {number} (sentences {ids}): "
+                                   f"{exc}") from None
         train_loss = epoch_loss / len(train_queries)
 
         metric = 0.0
@@ -208,15 +219,14 @@ def grad_check(params: ModelParams, queries, l2: float = 0.0, epsilon: float = 1
         raise ConfigError("grad_check needs at least one query")
 
     def objective():
-        total = sum(query_loss(q, params) for q in queries) / len(queries)
+        total = float(_batch_nll(queries, params)[0][0].sum()) / len(queries)
         if l2 > 0:
             total += 0.5 * l2 * sum(float((t.value ** 2).sum())
                                     for t in params.trainable_tensors())
         return total
 
     params.zero_grads()
-    for query in queries:
-        query_loss_and_backward(query, params)
+    query_loss_and_backward(queries, params)
     analytic = {}
     for tensor in selected:
         grad = tensor.grad / len(queries)

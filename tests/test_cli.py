@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from entrel import cli, synth
+from entrel import cli, model, synth
 from entrel.corpus import load_canonical, write_canonical
 from entrel.model import load_checkpoint, save_checkpoint
 
@@ -93,6 +93,34 @@ def test_negative_value_follows_its_flag(checkpoint, capsys, value):
     # argparse alone reads -inf and -1e9 as flags and exits 2
     assert run("inspect-transitions", "--checkpoint", checkpoint, "--threshold", value) == 0
     assert f"transitions above {float(value)}: 169" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--thresh", "--t"])
+def test_negative_value_follows_an_abbreviated_flag(checkpoint, capsys, flag):
+    assert run("inspect-transitions", "--checkpoint", checkpoint, flag, "-inf") == 0
+    assert "transitions above -inf: 169" in capsys.readouterr().out
+
+
+def test_ambiguous_abbreviation_stays_a_usage_error(corpus, tmp_path, capsys):
+    # --h could be --help, --h-c or --h-e
+    assert train(corpus, tmp_path / "run", "--max-epochs", 0, "--h", "-5") == 2
+    assert "ambiguous option: --h" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_failed_sgd_step_exits_1_naming_the_batch(corpus, tmp_path, capsys, monkeypatch):
+    real = model.init_params
+
+    def poisoned(*args, **kwargs):
+        params = real(*args, **kwargs)
+        params["ec_out"].value[0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(model, "init_params", poisoned)
+    assert train(corpus, tmp_path / "run", "--max-epochs", 1, *TINY_FLAGS) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: epoch 1, batch 1 (sentences synth-")
+    assert line.endswith("): non-finite gradient in tensor embeddings")
 
 
 def test_negative_exponent_reaches_the_value_check(corpus, tmp_path, capsys):

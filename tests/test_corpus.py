@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -157,12 +160,48 @@ class TestCanonical:
 
     def test_record_index_in_error(self, tmp_path):
         good = sentence_to_record(Sentence("s", ["a"], [], []))
-        import json
-
         out = tmp_path / "canon.jsonl"
         out.write_text(json.dumps(good) + "\n" + '{"id": "y"}\n')
         with pytest.raises(CorpusError, match="record 1"):
             load_canonical(out)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda r: r["entities"][0].update(start="1"), r"entities\[0\]\.start is not an integer: '1'"),
+        (lambda r: r["entities"][0].update(start=1.5), r"entities\[0\]\.start is not an integer: 1\.5"),
+        (lambda r: r["entities"][0].update(end="x"), r"entities\[0\]\.end is not an integer: 'x'"),
+        (lambda r: r["entities"][0].update(start=True), r"entities\[0\]\.start is not an integer"),
+        (lambda r: r["relations"][0].update(head=None), r"relations\[0\]\.head is not an integer"),
+        (lambda r: r["relations"][0].update(type=3), r"relations\[0\]\.type is not a string"),
+        (lambda r: r["relations"][0].pop("tail"), r"relations\[0\] lacks field 'tail'"),
+        (lambda r: r.update(entities={}), "field 'entities' is not a list"),
+        (lambda r: r.update(relations=[7]), r"relations\[0\] is not an object"),
+        (lambda r: r.update(tokens="a b"), "field 'tokens' is not a list of strings"),
+        (lambda r: r.update(tokens=["a", 2]), "field 'tokens' is not a list of strings"),
+    ], ids=["start-text", "start-float", "end-not-a-number", "start-bool", "head-null",
+            "type-number", "tail-missing", "entities-object", "relation-number",
+            "tokens-text", "token-number"])
+    def test_mistyped_record_names_file_and_record(self, tmp_path, mutate, message):
+        sent = Sentence("s1", ["a", "b"], [EntityMention(0, 1, "Peop"), EntityMention(1, 2, "Loc")],
+                        [RelationAnnotation(0, 1, "Live_in")])
+        record = sentence_to_record(sent)
+        mutate(record)
+        path = tmp_path / "canon.jsonl"
+        path.write_text(json.dumps(sentence_to_record(sent)) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: record 1: {message}"):
+            load_canonical(path)
+
+    def test_record_that_is_no_object_is_named(self, tmp_path):
+        path = tmp_path / "canon.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(CorpusError, match="record 0: not a JSON object"):
+            load_canonical(path)
+
+    @pytest.mark.parametrize("reader, suffix", [(load_canonical, "jsonl"), (parse_raw, "corp")])
+    def test_non_utf8_names_file_and_line(self, tmp_path, reader, suffix):
+        path = tmp_path / f"bad.{suffix}"
+        path.write_bytes(b"\n\n\xff\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: not UTF-8 text"):
+            reader(path)
 
     def test_thousand_sentence_byte_identical_round_trip(self, tmp_path):
         sentences = synth.generate(synth.default_grammar(seed=17), 1000)
@@ -237,6 +276,33 @@ class TestEmbeddings:
         path.write_text("2 3\na 1 2 3\nb 1 2\n")
         with pytest.raises(CorpusError, match=":3"):
             load_embeddings(path, ["a", "b"])
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "row of 'b' holds the non-finite value 'nan'"),
+        ("-inf", "row of 'b' holds the non-finite value '-inf'"),
+        ("1e999", "row of 'b' holds the non-finite value '1e999'"),
+        ("abc", "row of 'b': could not convert string to float: 'abc'"),
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, value, message):
+        path = tmp_path / "vec.txt"
+        write_embeddings(path, [("a", [1, 2]), ("b", [3, value])], 2)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+            load_embeddings(path, ["a", "b"])
+
+    def test_repeated_word_names_both_lines(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        write_embeddings(path, [("a", [1, 2]), ("zz", [3, 4]), ("a", [5, 6])], 2)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:4: word 'a' repeats the row on line 2$"):
+            load_embeddings(path, ["a", "b"])
+
+    @pytest.mark.parametrize("content", [b"2\na 1 2\n", b"2 0\n", b"x 2\n", b"",
+                                         b"1 2\na 1 \xff\n"],
+                             ids=["one-field", "zero-dim", "text-count", "empty", "not-utf8"])
+    def test_bad_header_or_encoding_is_located(self, tmp_path, content):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(content)
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:[12]: "):
+            load_embeddings(path, ["a"])
 
     def test_full_coverage_counts_zero_unk(self, tmp_path):
         path = tmp_path / "vec.txt"

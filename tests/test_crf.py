@@ -359,3 +359,55 @@ class TestMaskedNll:
         with pytest.raises(ValueError, match="mask shape"):
             crf.nll_and_gradients(np.zeros((3, 4)), np.zeros((6, 6)), (0, 0, 0),
                                   np.ones((3, 5), dtype=bool))
+
+
+class TestBatchedNll:
+    """nll_and_gradients over a batch [B, 3, N], as training calls it once per
+    mini-batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 6), n=st.integers(1, 6), masked=st.booleans(),
+           coarse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_single_calls_and_enumeration(self, batch, n, masked, coarse, seed):
+        # coarse draws are small integers: many paths tie in score
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            return rng.integers(-1, 2, size=shape).astype(float) if coarse else rng.normal(size=shape)
+
+        d = draw((batch, 3, n))
+        q = draw((n + 2, n + 2))
+        allowed = None
+        gold = rng.integers(0, n, size=(batch, 3))
+        if masked:
+            allowed = rng.random((3, n)) < 0.6
+            allowed[np.arange(3), gold[0]] = True
+            gold[:] = gold[0]  # every row's gold inside the mask
+        losses, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
+        assert losses.shape == (batch,) and grad_d.shape == d.shape
+        summed_q = np.zeros_like(q)
+        for b in range(batch):
+            loss, row_grad_d, row_grad_q = crf.nll_and_gradients(d[b], q, tuple(gold[b]),
+                                                                 allowed)
+            assert losses[b] == pytest.approx(loss, rel=1e-13, abs=1e-13)
+            assert np.allclose(grad_d[b], row_grad_d, rtol=0, atol=1e-13)
+            summed_q += row_grad_q
+            emissions = d[b] if allowed is None else crf.apply_position_mask(d[b], allowed)
+            assert loss == pytest.approx(
+                brute_force_logZ(emissions, q) - sequence_score(d[b], gold[b], q), abs=1e-9)
+            onehot = np.zeros_like(d[b])
+            onehot[np.arange(3), gold[b]] = 1.0
+            assert np.allclose(row_grad_d + onehot, brute_force_marginals(emissions, q),
+                               atol=1e-9)
+        assert np.allclose(grad_q, summed_q, rtol=0, atol=1e-12)
+
+    def test_gold_shape_and_mask_checked_per_row(self):
+        d = np.zeros((2, 3, 11))
+        q = np.zeros((13, 13))
+        with pytest.raises(ValueError, match="out of class range"):
+            crf.nll_and_gradients(d, q, [(0, 5, 0)])
+        with pytest.raises(ValueError, match="out of class range"):
+            crf.nll_and_gradients(d, q, [(0, 5, 0), (0, 11, 0)])
+        allowed = LabelSpace().position_mask()
+        with pytest.raises(ValueError, match=r"\(0, 0, 0\) is outside the position mask"):
+            crf.nll_and_gradients(d, q, [(0, 5, 0), (0, 0, 0)], allowed)

@@ -118,13 +118,13 @@ class TestEncode:
     def test_output_length_is_h_c_plus_h_e(self):
         params = make_params()
         width = TINY_HYPER["h_c"] + TINY_HYPER["h_e"]
-        enc = SentenceEncoding(make_sentence().tokens, [(1, 2), (4, 5)], params)
+        enc = SentenceEncoding([(make_sentence().tokens, [(1, 2), (4, 5)])], params)
         h, _ = encode_task(enc, "ec", [[0], [1]], params)
         assert h.shape == (2, width)
         h, _ = encode_task(enc, "re", [[0, 1]], params)
         assert h.shape == (1, width)
         # a span covering the whole sentence leaves both contexts empty
-        enc = SentenceEncoding(("per1",), [(0, 1)], params)
+        enc = SentenceEncoding([(("per1",), [(0, 1)])], params)
         h, _ = encode_task(enc, "ec", [[0]], params)
         assert h.shape == (1, width)
 
@@ -132,7 +132,7 @@ class TestEncode:
         params = make_params()
         for tensor in params.all_tensors():
             tensor.value[...] = 0.0
-        enc = SentenceEncoding(("the", "per1", "lives"), [(1, 2)], params)
+        enc = SentenceEncoding([(("the", "per1", "lives"), [(1, 2)])], params)
         h, _ = encode_task(enc, "ec", [[0]], params)
         assert not h.any()
         d, _ = forward_query(make_query(), params)
@@ -140,7 +140,7 @@ class TestEncode:
 
     def test_wrong_part_count_rejected(self):
         params = make_params()
-        enc = SentenceEncoding(make_sentence().tokens, [(1, 2), (4, 5)], params)
+        enc = SentenceEncoding([(make_sentence().tokens, [(1, 2), (4, 5)])], params)
         with pytest.raises(ValueError, match="expects 1 span"):
             encode_task(enc, "ec", [[0, 1]], params)
         with pytest.raises(ValueError, match="expects 2 span"):
@@ -217,7 +217,7 @@ class TestEncode:
         # the RE input of (e1, e2) starts with e1's EC parts: its left and
         # right context (left_i, mid_i) and its entity part (ent_i)
         params = make_params()
-        enc = SentenceEncoding(make_sentence().tokens, [(1, 2), (4, 5)], params)
+        enc = SentenceEncoding([(make_sentence().tokens, [(1, 2), (4, 5)])], params)
         _, ec_cache = encode_task(enc, "ec", [[0]], params)
         _, re_cache = encode_task(enc, "re", [[0, 1]], params)
         for key in ("ctx_concat", "ent_concat"):
@@ -262,10 +262,14 @@ class TestSentenceEncoding:
     def test_slice_pooling_matches_per_part_conv(self, data):
         """Pooled parts and their gradients equal a separate zero-padded
         conv1d + kmax_pool per part, for spans and contexts of any length
-        (empty and shorter than the filter width included)."""
-        n_tokens = data.draw(st.integers(1, 9), label="n_tokens")
-        cuts = sorted(data.draw(st.sets(st.integers(0, n_tokens), min_size=2), label="cuts"))
-        spans = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts) - 1, 2)]
+        (empty and shorter than the filter width included), whether one
+        sentence is encoded or several are packed into one encoding."""
+        sentences = []
+        for _ in range(data.draw(st.integers(1, 3), label="n_sentences")):
+            n_tokens = data.draw(st.integers(1, 9), label="n_tokens")
+            cuts = sorted(data.draw(st.sets(st.integers(0, n_tokens), min_size=2), label="cuts"))
+            sentences.append((n_tokens, [(cuts[i], cuts[i + 1])
+                                         for i in range(0, len(cuts) - 1, 2)]))
         ctx_width = data.draw(st.integers(1, 4), label="ctx_width")
         ent_width = data.draw(st.integers(1, 3), label="ent_width")
         k = data.draw(st.integers(1, 4), label="k")
@@ -279,36 +283,39 @@ class TestSentenceEncoding:
         def same(a, b):
             return np.array_equal(a, b) if exact else np.allclose(a, b, rtol=0, atol=1e-10)
 
-        tokens = [f"w{i}" for i in rng.integers(0, 3, size=n_tokens)]
-        params = make_params(sentences=[Sentence("p", tokens, [], [])],
+        sentences = [([f"w{i}" for i in rng.integers(0, 3, size=n)], spans)
+                     for n, spans in sentences]
+        params = make_params(sentences=[Sentence("p", tokens, [], []) for tokens, _ in sentences],
                              ctx_width=ctx_width, ent_width=ent_width, k=k)
         cnn_names = ("embeddings", "ctx_filters", "ctx_bias", "ent_filters", "ent_bias")
         for name in cnn_names:
             params[name].value[...] = draw(params[name].shape)
         emb = params["embeddings"].value
-        ids = [params.embeddings.lookup(tok) for tok in tokens]
 
         params.zero_grads()
-        enc = SentenceEncoding(tokens, spans, params)
+        enc = SentenceEncoding(sentences, params)
+        n_spans = sum(len(spans) for _, spans in sentences)
         expected = {name: np.zeros_like(params[name].value) for name in cnn_names}
-        for prefix, cnn, width, parts in (
-            ("ctx", enc.ctx, ctx_width, [p for s, e in spans for p in ((0, s), (e, n_tokens))]),
-            ("ent", enc.ent, ent_width, spans),
-        ):
+        for prefix, cnn, width in (("ctx", enc.ctx, ctx_width), ("ent", enc.ent, ent_width)):
             filters = params[f"{prefix}_filters"].value
             upstream = draw(cnn.pooled.shape)
-            for index, (a, b) in enumerate(parts):
-                mat = embed_pad(ids[a:b], emb, width)
+            # each sentence's parts, in the encoding's order
+            parts = [(tokens, part) for tokens, spans in sentences for s, e in spans
+                     for part in (((0, s), (e, len(tokens))) if prefix == "ctx" else ((s, e),))]
+            assert len(cnn.pooled) == len(parts)
+            for index, (tokens, (a, b)) in enumerate(parts):
+                ids = [params.embeddings.lookup(tok) for tok in tokens[a:b]]
+                mat = embed_pad(ids, emb, width)
                 conv = conv1d(mat, filters, params[f"{prefix}_bias"].value)
                 pooled, sel = kmax_pool(conv, k)
-                assert same(cnn.pooled[index], pooled), (prefix, a, b)
+                assert same(cnn.pooled[index], pooled), (prefix, index, a, b)
                 grad_conv = kmax_pool_backward(upstream[index], sel, conv.shape[0])
                 grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, mat, filters)
                 expected[f"{prefix}_filters"] += grad_filters
                 expected[f"{prefix}_bias"] += grad_bias
-                for row, tok_id in enumerate(ids[a:b]):
+                for row, tok_id in enumerate(ids):
                     expected["embeddings"][tok_id] += grad_mat[row]
-            cnn.add_grad(np.arange(len(spans))[:, None], upstream.reshape(len(spans), -1))
+            cnn.add_grad(np.arange(n_spans)[:, None], upstream.reshape(n_spans, -1))
         enc.backward(params)
         for name in cnn_names:
             assert same(params[name].grad, expected[name]), name

@@ -5,11 +5,12 @@ from entrel import synth, training
 from entrel.corpus import LabelSpace, corpus_vocabulary, random_embeddings
 from entrel.evaluation import MetricsReport
 from entrel.model import HyperParams, forward_query, gold_indices, init_params, predict_queries
-from entrel.querygen import ConfigError, gen_setup1
+from entrel.querygen import ConfigError, gen_setup1, gen_setup2
 from entrel.training import (
     GradCheckReport,
     TrainConfig,
     grad_check,
+    query_loss_and_backward,
     sgd_step,
     train_loop,
 )
@@ -84,7 +85,63 @@ class TestSgdStep:
             assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
 
 
+def shared_sentence_batch():
+    """Queries over three sentences of build()'s corpus, two of them over one
+    sentence, and one query twice."""
+    sentences = synth.generate(synth.default_grammar(seed=3), 3)
+    queries, _ = gen_setup2(sentences)
+    by_sentence = [[q for q in queries if q.sentence is s] for s in sentences]
+    first, second, third = by_sentence
+    return [first[0], second[0], first[1], third[-1], second[0]]
+
+
+class TestBatchedLossAndBackward:
+    @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
+    def test_one_call_equals_per_query_calls_summed(self, output_layer):
+        params, *_ = build(output_layer=output_layer)
+        rng = np.random.default_rng(3)
+        for tensor in params.all_tensors():  # spread-out weights: gradients everywhere
+            tensor.value[...] = rng.normal(scale=0.5, size=tensor.shape)
+        batch = shared_sentence_batch()
+        params.zero_grads()
+        loss = query_loss_and_backward(batch, params)
+        batched = {t.name: t.grad.copy() for t in params.all_tensors()}
+        params.zero_grads()
+        single = sum(query_loss_and_backward([query], params) for query in batch)
+        assert loss == pytest.approx(single, rel=1e-12)
+        for tensor in params.all_tensors():
+            assert np.allclose(batched[tensor.name], tensor.grad, rtol=0, atol=1e-12), \
+                tensor.name
+        assert np.abs(batched["re_ctx_w"]).max() > 0
+        assert np.abs(batched["transitions"]).max() > 0 or output_layer == "softmax"
+
+
 class TestTrainLoop:
+    def test_failed_step_names_its_batch_and_moves_nothing(self, monkeypatch):
+        params, train_q, dev_q, _ = build(n_sentences=20)
+        batches, before = [], {}
+        real_loss, real_step = training.query_loss_and_backward, training.sgd_step
+
+        def recording_loss(queries, params):
+            batches.append(queries)
+            return real_loss(queries, params)
+
+        def poisoning_step(params, lr, l2):
+            if len(batches) == 3:
+                params["ec_out"].grad[0, 0] = np.inf
+                before.update({t.name: t.value.copy() for t in params.all_tensors()})
+            real_step(params, lr, l2)
+
+        monkeypatch.setattr(training, "query_loss_and_backward", recording_loss)
+        monkeypatch.setattr(training, "sgd_step", poisoning_step)
+        with pytest.raises(RuntimeError) as failure:
+            train_loop(params, train_q, dev_q, TrainConfig(max_epochs=1, seed=1, batch_size=4))
+        ids = ", ".join(dict.fromkeys(query.sentence_id for query in batches[2]))
+        assert str(failure.value) == (f"epoch 1, batch 3 (sentences {ids}): "
+                                      "non-finite gradient in tensor ec_out")
+        for tensor in params.all_tensors():
+            assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
+
     def test_empty_train_set_is_config_error(self):
         params, *_ = build()
         with pytest.raises(ConfigError, match="empty train set"):
@@ -195,6 +252,12 @@ class TestGradCheck:
         report = grad_check(params, train_q[:5], l2=1e-3)
         assert report.passed, report.errors
         assert max(report.errors.values()) < 1e-6
+
+    @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
+    def test_batch_sharing_sentences_passes(self, output_layer):
+        params, *_ = build(output_layer=output_layer)
+        report = grad_check(params, shared_sentence_batch(), l2=1e-3)
+        assert report.passed, report.errors
 
     def test_softmax_path_passes(self):
         params, train_q, *_ = build(n_sentences=16, output_layer="softmax")
