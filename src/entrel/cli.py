@@ -466,7 +466,10 @@ def main(argv=None) -> int:
         # argparse defaults, then config values, then explicit flags
         command.set_defaults(**_config_values(top.config, commands, command))
         args = command.parse_args(top.args)
-        return args.func(args)
+        # a value that overflows or turns NaN surfaces as the one error line
+        # of sgd_step or decode_query, not as numpy warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, QueryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

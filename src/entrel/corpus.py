@@ -317,9 +317,11 @@ def _record_items(record: dict, key: str, int_fields, bad):
     return out
 
 
-def sentence_from_record(record: dict, index: int, path=None) -> Sentence:
+def sentence_from_record(record: dict, line: int, path=None) -> Sentence:
+    """The sentence a canonical record holds; a CorpusError located at
+    ``path``:``line`` (the record's 1-based line) when it is malformed."""
     def bad(message):
-        return CorpusError(f"record {index}: {message}", path)
+        return CorpusError(message, path, line)
 
     if not isinstance(record, dict):
         raise bad("not a JSON object")
@@ -352,15 +354,14 @@ def load_canonical(path):
     sentences = []
     with open(path, "rb") as handle:
         for line_no, line in _text_lines(handle, path):
-            index = line_no - 1
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"record {index}: invalid JSON ({exc.msg})", path)
-            sentences.append(sentence_from_record(record, index, path))
+                raise CorpusError(f"invalid JSON ({exc.msg})", path, line_no) from None
+            sentences.append(sentence_from_record(record, line_no, path))
     return sentences
 
 
@@ -463,14 +464,22 @@ def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> 
 
 
 def _row_vector(word, values, dtype, path, line_no) -> np.ndarray:
-    """The finite vector an embedding row's value fields spell."""
+    """The finite vector of ``dtype`` an embedding row's value fields spell."""
     try:
-        vec = np.array([float(v) for v in values], dtype=dtype)
+        exact = np.array([float(v) for v in values])
     except ValueError as exc:
         raise CorpusError(f"row of {word!r}: {exc}", path, line_no) from None
-    bad = np.flatnonzero(~np.isfinite(vec))
+    bad = np.flatnonzero(~np.isfinite(exact))
     if bad.size:
         raise CorpusError(f"row of {word!r} holds the non-finite value {values[bad[0]]!r}",
+                          path, line_no)
+    # a finite value past the dtype's largest one casts to an infinity
+    with np.errstate(over="ignore"):
+        vec = exact.astype(dtype)
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise CorpusError(f"row of {word!r} holds {values[bad[0]]!r}, outside the "
+                          f"{np.dtype(dtype).name} range (±{np.finfo(dtype).max:.4g})",
                           path, line_no)
     return vec
 

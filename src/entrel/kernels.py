@@ -7,8 +7,10 @@ bookkeeping of which forward values feed which backward call (see
 ``model.forward_sentences`` / ``model.backward_query``, which run each
 kernel once for a whole mini-batch).
 
-float64 is the default dtype and the one all gradient checks run in;
-float32 is accepted everywhere for faster training.
+Every kernel computes in the dtype of its inputs and returns that dtype.
+The tuned models (``HyperParams.defaults_for``) train and predict in
+float32; gradient checks run on float64 models, whose finite differences
+float32 rounding would swamp.
 """
 
 from dataclasses import dataclass, field

@@ -204,8 +204,12 @@ def grad_check(params: ModelParams, queries, l2: float = 0.0, epsilon: float = 1
     """Compare analytic gradients against central finite differences.
 
     The objective is the mean query loss plus l2/2 * sum of squared trainable
-    parameters (matching what sgd_step descends). Runs in 64-bit mode only.
-    An explicit empty tensor list is a vacuous pass.
+    parameters (matching what sgd_step descends). Runs on float64 models
+    only, such as ``HyperParams()``: at epsilon 1e-5, float32 rounding of the
+    loss (about 1e-7 relative) would swamp the differences. The float32
+    models ``HyperParams.defaults_for`` gives run the same kernels, so this
+    check gates their gradients too. An explicit empty tensor list is a
+    vacuous pass.
     """
     if params.hyper.dtype != "float64":
         raise ConfigError("grad_check requires float64 parameters")

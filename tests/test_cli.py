@@ -5,12 +5,13 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from entrel import cli, model, synth
-from entrel.corpus import load_canonical, write_canonical
+from entrel.corpus import corpus_vocabulary, load_canonical, write_canonical
 from entrel.model import load_checkpoint, save_checkpoint
 
 from conftest import RAW_SENTENCE
@@ -61,6 +62,7 @@ def test_convert(tmp_path, capsys):
 
 def test_train_writes_checkpoints_and_log(corpus, checkpoint):
     assert manifest(checkpoint)["hyperparams"]["k"] == 2
+    assert manifest(checkpoint)["dtype"] == "float32"
     assert (corpus / "run" / "best" / "manifest.json").exists()
     log = (corpus / "run" / "log.jsonl").read_text().splitlines()
     assert [json.loads(line)["epoch"] for line in log] == [1]
@@ -121,6 +123,54 @@ def test_failed_sgd_step_exits_1_naming_the_batch(corpus, tmp_path, capsys, monk
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: epoch 1, batch 1 (sentences synth-")
     assert line.endswith("): non-finite gradient in tensor embeddings")
+
+
+def test_overflow_in_training_exits_1_with_one_line_and_no_warning(corpus, tmp_path, capsys):
+    # every value fits float32, but the products of the first batch overflow it
+    sentences = load_canonical(corpus / "train.jsonl") + load_canonical(corpus / "dev.jsonl")
+    vocab = corpus_vocabulary(sentences)
+    rng = np.random.default_rng(0)
+    rows = [" ".join([word, *map(repr, rng.uniform(-3e38, 3e38, 6).tolist())]) for word in vocab]
+    (tmp_path / "vec.txt").write_text("\n".join([f"{len(vocab)} 6", *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert train(corpus, tmp_path / "run", "--embeddings", tmp_path / "vec.txt",
+                     "--max-epochs", 1, *TINY_FLAGS) == 1
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: epoch 1, batch 1 (sentences synth-")
+    assert line.endswith("): non-finite gradient in tensor embeddings")
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--corpus", "dev.jsonl"),
+    ("predict", "--sentence", "per1 works for org1", "--span1", "0:1", "--span2", "3:4"),
+], ids=["eval", "predict"])
+def test_overflowing_checkpoint_exits_1_with_one_line(corpus, checkpoint, tmp_path, capsys,
+                                                       command):
+    params, meta = load_checkpoint(checkpoint)
+    params["ec_out"].value[...] = 3e38  # finite in float32; the scores overflow it
+    save_checkpoint(tmp_path / "ck", params, meta["seed"])
+    name, *flags = command
+    flags = [corpus / flag if flag.endswith(".jsonl") else flag for flag in flags]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(name, "--checkpoint", tmp_path / "ck", *flags) == 1
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: non-finite scores: a model parameter is non-finite or "
+                    "overflows float32")
+
+
+def test_embedding_value_outside_float32_exits_1_naming_the_line(corpus, tmp_path, capsys):
+    word = load_canonical(corpus / "train.jsonl")[0].tokens[0]
+    (tmp_path / "vec.txt").write_text(f"1 6\n{word} 1 2 3 4 5 1e39\n")
+    assert train(corpus, tmp_path / "run", "--embeddings", tmp_path / "vec.txt",
+                 "--max-epochs", 1, *TINY_FLAGS) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"error: {tmp_path / 'vec.txt'}:2: row of {word!r} holds '1e39', "
+                    "outside the float32 range (±3.403e+38)")
+    assert not (tmp_path / "run").exists()
 
 
 def test_negative_exponent_reaches_the_value_check(corpus, tmp_path, capsys):

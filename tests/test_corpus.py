@@ -162,7 +162,7 @@ class TestCanonical:
         good = sentence_to_record(Sentence("s", ["a"], [], []))
         out = tmp_path / "canon.jsonl"
         out.write_text(json.dumps(good) + "\n" + '{"id": "y"}\n')
-        with pytest.raises(CorpusError, match="record 1"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(out))}:2: missing field"):
             load_canonical(out)
 
     @pytest.mark.parametrize("mutate, message", [
@@ -187,13 +187,26 @@ class TestCanonical:
         mutate(record)
         path = tmp_path / "canon.jsonl"
         path.write_text(json.dumps(sentence_to_record(sent)) + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: record 1: {message}"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: {message}"):
             load_canonical(path)
 
     def test_record_that_is_no_object_is_named(self, tmp_path):
         path = tmp_path / "canon.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.raises(CorpusError, match="record 0: not a JSON object"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:1: not a JSON object"):
+            load_canonical(path)
+
+    @pytest.mark.parametrize("third, message", [
+        (b'{"id": "y"}', "missing field 'tokens'"),
+        (b"{not json", "invalid JSON"),
+        (b"\xff", "not UTF-8 text"),
+    ], ids=["malformed-record", "invalid-json", "not-utf8"])
+    def test_record_errors_locate_the_same_one_based_line(self, tmp_path, third, message):
+        # a blank line is skipped but still counted
+        good = json.dumps(sentence_to_record(Sentence("s", ["a"], [], []))).encode()
+        path = tmp_path / "canon.jsonl"
+        path.write_bytes(good + b"\n\n" + third + b"\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: {message}"):
             load_canonical(path)
 
     @pytest.mark.parametrize("reader, suffix", [(load_canonical, "jsonl"), (parse_raw, "corp")])
@@ -288,6 +301,23 @@ class TestEmbeddings:
         write_embeddings(path, [("a", [1, 2]), ("b", [3, value])], 2)
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
             load_embeddings(path, ["a", "b"])
+
+    def test_value_outside_float32_range_is_named(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        write_embeddings(path, [("a", [1, 2]), ("b", [3, "-1e39"])], 2)
+        message = "row of 'b' holds '-1e39', outside the float32 range (±3.403e+38)"
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+            load_embeddings(path, ["a", "b"], dtype=np.float32)
+        table = load_embeddings(path, ["a", "b"])  # float64 holds it
+        assert table.matrix[table.lookup("b"), 1] == -1e39
+
+    def test_largest_float32_value_loads(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        big = float(np.finfo(np.float32).max)
+        write_embeddings(path, [("a", [big, -big])], 2)
+        table = load_embeddings(path, ["a"], dtype=np.float32)
+        assert table.matrix.dtype == np.float32
+        assert table.matrix[table.lookup("a")].tolist() == [big, -big]
 
     def test_repeated_word_names_both_lines(self, tmp_path):
         path = tmp_path / "vec.txt"
