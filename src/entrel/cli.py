@@ -256,10 +256,8 @@ def cmd_disagreement(args) -> int:
     sentences = load_canonical(args.corpus)
     queries = _generate_queries(sentences, args.setup)
     preds = model.predict_queries(queries, params, args.masked_decode)
-    groups, _ = evaluation.assemble_votes(queries, preds, params.label_space)
-    voted = [(evaluation.majority_vote(g.votes, params.label_space), g.votes)
-             for g in groups.values()]
-    stats = analysis.disagreement_report(voted)
+    stats = evaluation.score_queries(queries, preds, args.setup, params.label_space,
+                                     sentences).disagreement
     print(f"entities: {stats.n_groups}")
     print(f"disagreeing: {stats.n_disagreeing} ({100 * stats.fraction:.2f}%)")
     if stats.n_disagreeing:

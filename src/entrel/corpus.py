@@ -129,8 +129,7 @@ class Sentence:
     entities: list
     relations: list
 
-    def validate(self, label_space: LabelSpace | None = None):
-        ls = label_space or LabelSpace()
+    def validate(self):
         n = len(self.tokens)
         occupied = []
         for ent in self.entities:
@@ -138,7 +137,7 @@ class Sentence:
                 raise CorpusError(
                     f"sentence {self.id}: entity span {ent.span} outside 0..{n}"
                 )
-            if ent.type not in ls.ec_labels:
+            if ent.type not in EC_LABELS:
                 raise CorpusError(f"sentence {self.id}: unknown entity label {ent.type!r}")
             occupied.append(ent.span)
         occupied.sort()
@@ -152,7 +151,7 @@ class Sentence:
                 raise CorpusError(f"sentence {self.id}: relation with head == tail")
             if not (0 <= rel.head < len(self.entities) and 0 <= rel.tail < len(self.entities)):
                 raise CorpusError(f"sentence {self.id}: relation argument out of range")
-            if rel.type not in ls.re_labels or rel.type == NO_RELATION:
+            if rel.type not in RE_LABELS or rel.type == NO_RELATION:
                 raise CorpusError(f"sentence {self.id}: unknown relation label {rel.type!r}")
         return self
 
@@ -227,7 +226,7 @@ def parse_raw(path, column_map: ColumnMap | None = None):
         sid = raw_id if count == 0 else f"{raw_id}.{count}"
         sentence = Sentence(sid, tokens, entities, relations)
         try:
-            sentence.validate(ls)
+            sentence.validate()
         except CorpusError as exc:
             raise CorpusError(str(exc), path, line_no) from None
         sentences.append(sentence)

@@ -6,9 +6,11 @@ transition scores along begin -> y1 -> y2 -> y3 -> end plus the three
 emission scores d[i, y_i]. The transition matrix has side N+2 where the two
 extra rows/columns are the begin tag (index N) and end tag (index N+1).
 
-The loss, its gradients and decoding all read the score of every path, an
-[N, N, N] cube. SEQ_LEN is 3 and the CLI loads only checkpoints over the
-11-class unified label space, so the cube holds 11^3 = 1,331 paths.
+Every function takes a batch of score sequences d [B, 3, N] (B = 1 for one
+sequence) and treats each row as it would alone. The loss, its gradients and
+decoding all read the score of every path, an [N, N, N] cube per row.
+SEQ_LEN is 3 and the CLI loads only checkpoints over the 11-class unified
+label space, so the cube holds 11^3 = 1,331 paths.
 
 All functions are pure given (d, Q) and safe to call concurrently.
 """
@@ -21,25 +23,23 @@ SEQ_LEN = 3
 MASK_PENALTY = -1e9  # additive penalty for classes disallowed at a position
 
 
-def _as_batch(d: np.ndarray, q: np.ndarray):
-    """Score sequences d, one [3, N] or a batch [B, 3, N], as a batch; their
-    class count N; and whether d was one sequence."""
-    single = d.ndim == 2
-    batch = d[None] if single else d
-    if batch.ndim != 3 or batch.shape[1] != SEQ_LEN:
-        raise ValueError(f"score sequence must be {SEQ_LEN}xN, got {d.shape}")
-    n = d.shape[-1]
+def _check_batch(d: np.ndarray, q: np.ndarray) -> int:
+    """Class count N of a batch of score sequences d [B, 3, N] that the
+    transition matrix q [N+2, N+2] fits; any other shape is a ValueError."""
+    if d.ndim != 3 or d.shape[1] != SEQ_LEN:
+        raise ValueError(f"score sequences must be Bx{SEQ_LEN}xN, got {d.shape}")
+    n = d.shape[2]
     if q.shape != (n + 2, n + 2):
         raise ValueError(
             f"transition matrix must be {(n + 2, n + 2)} for {n} classes, got {q.shape}"
         )
-    return batch, n, single
+    return n
 
 
-def _check_labels(gold, n: int, shape) -> np.ndarray:
-    """Gold label triples as ints of ``shape`` ([3] or [B, 3]) in class range."""
+def _check_labels(gold, n: int, rows: int) -> np.ndarray:
+    """Gold label triples as ints [rows, 3] in class range."""
     y = np.asarray(gold, dtype=np.intp)
-    if y.shape != shape or (y < 0).any() or (y >= n).any():
+    if y.shape != (rows, SEQ_LEN) or (y < 0).any() or (y >= n).any():
         raise ValueError(f"label sequence {np.asarray(gold).tolist()} out of class "
                          f"range 0..{n - 1}")
     return y
@@ -59,31 +59,29 @@ def _path_scores(d: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold, allowed: np.ndarray | None = None):
-    """Negative log-likelihood of the gold triple plus exact gradients.
+    """Negative log-likelihood of each gold triple plus exact gradients.
 
-    d is one score sequence [3, N] with one gold triple, giving (loss,
-    grad_d [3, N], grad_q), or a batch [B, 3, N] with gold triples [B, 3],
-    giving (losses [B], grad_d [B, 3, N], grad_q). Each batch row's loss is
-    logZ - score(gold) and its grad_d[i, c] = P(y_i = c) - [gold_i = c], as
-    it would be alone; grad_q = expected minus observed transition counts,
-    begin/end transitions included, summed over the batch. With an
-    ``allowed`` mask [3, N] the classes it forbids are penalized as in
-    ``viterbi``; a gold triple the mask forbids is a ValueError.
+    For score sequences d [B, 3, N] and gold triples [B, 3], gives (losses
+    [B], grad_d [B, 3, N], grad_q [N+2, N+2]). Row b's loss is logZ_b -
+    score_b(gold_b) and grad_d[b, i, c] = P(y_i = c) - [gold_b,i = c];
+    grad_q = expected minus observed transition counts, begin/end
+    transitions included, summed over the batch. With an ``allowed`` mask
+    [3, N] the classes it forbids are penalized as in ``viterbi``; a gold
+    triple the mask forbids is a ValueError.
     """
-    batch, n, single = _as_batch(d, q)
-    shape = (SEQ_LEN,) if single else (len(batch), SEQ_LEN)
-    gold = _check_labels(gold, n, shape).reshape(-1, SEQ_LEN)
+    n = _check_batch(d, q)
+    gold = _check_labels(gold, n, len(d))
     if allowed is not None:
-        batch = apply_position_mask(batch, allowed)
+        d = apply_position_mask(d, allowed)
         outside = ~allowed[np.arange(SEQ_LEN), gold].all(axis=1)
         if outside.any():
             triple = tuple(gold[outside][0].tolist())
             raise ValueError(f"gold triple {triple} is outside the position mask")
     y1, y2, y3 = gold.T
-    rows = np.arange(len(batch))
+    rows = np.arange(len(d))
     begin, end = n, n + 1
-    scores = _path_scores(batch, q)
-    log_z = logsumexp_rows(scores.reshape(len(batch), -1))
+    scores = _path_scores(d, q)
+    log_z = logsumexp_rows(scores.reshape(len(d), -1))
     probs = np.exp(scores - log_z[:, None, None, None])
     pair_12 = probs.sum(axis=3)  # P(y1, y2)
     pair_23 = probs.sum(axis=1)  # P(y2, y3)
@@ -101,39 +99,28 @@ def nll_and_gradients(d: np.ndarray, q: np.ndarray, gold, allowed: np.ndarray | 
     for source, target in ((y1, y2), (y2, y3), (begin, y1), (y3, end)):
         np.subtract.at(grad_q, (source, target), 1.0)
 
-    losses = log_z - scores[rows, y1, y2, y3]
-    if single:
-        return float(losses[0]), grad_d[0], grad_q
-    return losses, grad_d, grad_q
+    return log_z - scores[rows, y1, y2, y3], grad_d, grad_q
 
 
 def apply_position_mask(d: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Additively penalize disallowed classes per position (finite, not -inf).
-
-    d is one score sequence [3, N] or a batch [B, 3, N]; allowed is [3, N].
-    """
-    if allowed.shape != d.shape[-2:]:
+    """Additively penalize disallowed classes per position (finite, not -inf):
+    allowed [3, N] applies to every row of the batch d [B, 3, N]."""
+    if allowed.shape != d.shape[1:]:
         raise ValueError(f"mask shape {allowed.shape} != scores shape {d.shape}")
     return np.where(allowed, d, d + MASK_PENALTY)
 
 
-def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None):
-    """Highest-scoring label triple and its score.
+def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
+    """Highest-scoring label triple of each score sequence: best [B, 3] ints
+    for d [B, 3, N].
 
-    d is one score sequence [3, N], giving ((y1, y2, y3), score), or a batch
-    [B, 3, N], giving (best [B, 3] ints, scores [B]); each batch row decodes
-    exactly as it would alone. Ties resolve to the lowest class index at the
-    earliest differing position (the lexicographically smallest optimal
-    sequence): C order lists the triples of the path-score cube
-    lexicographically, and argmax takes the first maximum.
+    Ties resolve to the lowest class index at the earliest differing
+    position (the lexicographically smallest optimal sequence): C order
+    lists the triples of the path-score cube lexicographically, and argmax
+    takes the first maximum.
     """
-    batch, n, single = _as_batch(d, q)
+    n = _check_batch(d, q)
     if allowed is not None:
-        batch = apply_position_mask(batch, allowed)
-    flat = _path_scores(batch, q).reshape(len(batch), -1)
-    index = np.argmax(flat, axis=1)
-    best = np.stack(np.unravel_index(index, (n,) * SEQ_LEN), axis=1)
-    scores = flat[np.arange(len(batch)), index]
-    if single:
-        return tuple(int(v) for v in best[0]), float(scores[0])
-    return best, scores
+        d = apply_position_mask(d, allowed)
+    index = np.argmax(_path_scores(d, q).reshape(len(d), -1), axis=1)
+    return np.stack(np.unravel_index(index, (n,) * SEQ_LEN), axis=1)

@@ -19,18 +19,15 @@ import numpy as np
 
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit shape validation.
-
-    x is one vector [cols] (giving [rows]) or a batch of vectors [B, cols]
-    (giving [B, rows], row b being m @ x[b]).
-    """
+    """m [rows, cols] times each vector of a batch x [B, cols], with explicit
+    shape validation: [B, rows], row b being m @ x[b]."""
     m = np.asarray(m)
     x = np.asarray(x)
-    if m.ndim != 2 or x.ndim not in (1, 2) or m.shape[1] != x.shape[-1]:
+    if m.ndim != 2 or x.ndim != 2 or m.shape[1] != x.shape[1]:
         raise ValueError(
-            f"matvec shape mismatch: matrix {m.shape} vs vector {x.shape}"
+            f"matvec shape mismatch: matrix {m.shape} vs vectors {x.shape}"
         )
-    return m @ x if x.ndim == 1 else x @ m.T
+    return x @ m.T
 
 
 def _im2col(seq: np.ndarray, width: int) -> np.ndarray:

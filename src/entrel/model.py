@@ -368,8 +368,8 @@ def encode_task(enc: SentenceEncoding, task: str, span_ids, params: ModelParams)
 
 
 def score_task(h, task: str, params: ModelParams):
-    """Linear map from task representations (one [H] or a batch [B, H])
-    onto the unified label space."""
+    """Linear map from task representations h [B, H] onto the unified label
+    space: scores [B, N]."""
     out = params.task_tensors(task)[4]
     return matvec(out.value.T, h)
 
@@ -442,14 +442,13 @@ def forward_query(query: Query, params: ModelParams):
 
 
 def backward_query(grad_d, cache, params: ModelParams):
-    """Push gradients on score sequences ([3, N] from forward_query, or
-    [B, 3, N] from forward_sentences) back into all parameters: one product
-    per layer for the whole batch."""
+    """Push gradients on the score sequences [B, 3, N] of one
+    forward_sentences call back into all parameters: one product per layer
+    for the whole batch."""
     if cache is None:
         raise RuntimeError("backward_query called before forward_query")
     pairs = cache["pairs"]
     h_ec, h_re = cache["h"]
-    grad_d = grad_d.reshape(len(pairs), 3, -1)
     grad_ec = np.zeros((len(h_ec), grad_d.shape[2]), dtype=grad_d.dtype)
     np.add.at(grad_ec, pairs[:, 0], grad_d[:, 0])
     np.add.at(grad_ec, pairs[:, 1], grad_d[:, 2])
@@ -495,7 +494,7 @@ def decode_query(d, params: ModelParams, masked: bool = False):
         raise RuntimeError(f"non-finite scores: a model parameter is non-finite or "
                            f"overflows {params.hyper.dtype}")
     batch = d if d.ndim == 3 else d[None]
-    best, _ = crf.viterbi(batch, *output_chain(params, masked))
+    best = crf.viterbi(batch, *output_chain(params, masked))
     triples = [params.shared_triple(tuple(row)) for row in best.tolist()]
     return triples if d.ndim == 3 else triples[0]
 
@@ -580,7 +579,8 @@ def _check_keys(path, what, found, required, optional=(), kind="key"):
 
 def load_checkpoint(directory):
     """Load a checkpoint directory; validates the manifest's keys, then the
-    tensor names and shapes against the model the manifest describes."""
+    tensor names and shapes against the model the manifest describes, then
+    that every tensor value is finite."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     with open(manifest_path, encoding="utf-8") as handle:
@@ -626,6 +626,8 @@ def load_checkpoint(directory):
             value = np.fromfile(handle, dtype=code, count=count)
             if value.size != count:
                 raise ValueError(f"tensor {name} runs past the end of the checkpoint payload")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{path}: tensor {name} holds a non-finite value")
             tensors[name] = ParamTensor(name, value.reshape(shape))
     embeddings = EmbeddingTable(
         hyper.emb_dim,

@@ -80,9 +80,9 @@ def _relation_lookup(sentence: Sentence, label_space: LabelSpace):
     return {key: (label, inverse) for key, (_, label, inverse) in best.items()}
 
 
-def gen_setup1(sentences, label_space: LabelSpace | None = None):
+def gen_setup1(sentences):
     """One query per ordered pair of gold named entities (type != O)."""
-    ls = label_space or LabelSpace()
+    ls = LabelSpace()
     queries = []
     for sentence in sentences:
         named = [
@@ -168,7 +168,7 @@ def _table_and_queries(sentence, rows, labels, setup, cell_relations, inverse_ce
     return table, queries
 
 
-def gen_setup2(sentences, label_space: LabelSpace | None = None):
+def gen_setup2(sentences):
     """Table filling over merged entity rows; one query per off-diagonal cell."""
     all_queries = []
     tables = {}
@@ -190,7 +190,7 @@ def gen_setup2(sentences, label_space: LabelSpace | None = None):
     return all_queries, tables
 
 
-def gen_setup3(sentences, label_space: LabelSpace | None = None):
+def gen_setup3(sentences):
     """Table filling over single tokens; a relation labels every cell of the
     (head tokens x tail tokens) block."""
     all_queries = []

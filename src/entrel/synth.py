@@ -4,10 +4,6 @@ Sentences follow "fillers e1 trigger e2 fillers" templates with a small
 closed vocabulary, so a desk-scale model separates them in seconds. Every
 generated relation instance is consistent with its template's type
 signature (e.g. Live_in always connects a person to a location).
-
-apply_label_noise is a separate post-processing step that deliberately
-corrupts relation labels; generated-then-noised corpora are used for
-robustness comparisons and intentionally break the signature guarantee.
 """
 
 from dataclasses import dataclass
@@ -35,7 +31,6 @@ class RuleGrammar:
     no_relation_fraction: float = 0.3
     multi_token_fraction: float = 0.25
     inverse_fraction: float = 0.1
-    noise_rate: float = 0.0  # distractor tokens inserted around the trigger
     seed: int = 7
 
     def __post_init__(self):
@@ -102,8 +97,8 @@ def _draw_name(rng, grammar, entity_type):
     return [name]
 
 
-def _draw_fillers(rng, grammar, low=0, high=3):
-    count = int(rng.integers(low, high))
+def _draw_fillers(rng, grammar):
+    count = int(rng.integers(0, 3))
     return [grammar.fillers[rng.integers(len(grammar.fillers))] for _ in range(count)]
 
 
@@ -129,10 +124,6 @@ def _make_sentence(index, rng, grammar) -> Sentence:
         else:
             trigger = list(template.triggers[rng.integers(len(template.triggers))])
             first_type, second_type = template.head_type, template.tail_type
-
-    if grammar.noise_rate > 0 and rng.random() < grammar.noise_rate:
-        slot = int(rng.integers(len(trigger) + 1))
-        trigger = trigger[:slot] + _draw_fillers(rng, grammar, 1, 3) + trigger[slot:]
 
     prefix = _draw_fillers(rng, grammar)
     suffix = _draw_fillers(rng, grammar)
@@ -160,32 +151,6 @@ def generate(grammar: RuleGrammar, n_sentences: int):
         rng = np.random.default_rng((grammar.seed, index))
         sentences.append(_make_sentence(index, rng, grammar).validate())
     return sentences
-
-
-def apply_label_noise(sentences, rate: float, seed: int):
-    """Replace each relation label with a different one with probability rate.
-
-    Deliberately breaks type-signature consistency; use only for robustness
-    comparisons, never for data the signature audit runs on.
-    """
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError(f"noise rate must be in [0, 1], got {rate}")
-    rng = np.random.default_rng(seed)
-    labels = [label for label in RE_LABELS if label != "N"]
-    noised = []
-    for sentence in sentences:
-        relations = []
-        for rel in sentence.relations:
-            if rng.random() < rate:
-                others = [lb for lb in labels if lb != rel.type]
-                relations.append(
-                    RelationAnnotation(rel.head, rel.tail, others[rng.integers(len(others))])
-                )
-            else:
-                relations.append(rel)
-        noised.append(Sentence(sentence.id, list(sentence.tokens),
-                               list(sentence.entities), relations))
-    return noised
 
 
 def split_corpus(sentences, dev_fraction: float = 0.15):

@@ -27,6 +27,9 @@ from entrel.model import (
 from entrel.evaluation import score_queries
 from entrel.querygen import ConfigError
 
+LR_FLOOR = 1e-6  # training stops once halving takes the learning rate below this
+GRAD_CHECK_EPSILON = 1e-5  # central-difference step of grad_check
+
 
 @dataclass
 class TrainConfig:
@@ -37,7 +40,6 @@ class TrainConfig:
     seed: int = 13
     setup: int = 1
     neg_keep_prob: float | None = None
-    lr_floor: float = 1e-6
     masked_decode: bool = False
 
     def __post_init__(self):
@@ -55,7 +57,6 @@ class TrainState:
     lr: float = 0.0
     best_metric: float | None = None
     best_path: str | None = None
-    epochs_since_improvement: int = 0
     log: list = field(default_factory=list)
 
 
@@ -107,7 +108,7 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     After each epoch the dev Avg EC+RE is computed; when it drops below the
     previous epoch's value the learning rate halves. The best-on-dev
     checkpoint is kept alongside the final one. Stops at max_epochs or when
-    the learning rate underflows the floor.
+    the learning rate falls below LR_FLOOR.
     """
     if not train_queries:
         raise ConfigError("empty train set")
@@ -147,13 +148,10 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
         improved = state.best_metric is None or metric > state.best_metric
         if improved:
             state.best_metric = metric
-            state.epochs_since_improvement = 0
             if out_dir is not None:
                 best = out_dir / "best"
                 save_checkpoint(best, params, config.seed, extra={"epoch": epoch})
                 state.best_path = str(best)
-        else:
-            state.epochs_since_improvement += 1
 
         halved = prev_metric is not None and metric < prev_metric
         lr_used = state.lr
@@ -173,7 +171,7 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
             "improved": improved,
         }
         state.log.append(record)
-        if state.lr < config.lr_floor:
+        if state.lr < LR_FLOOR:
             break
 
     if out_dir is not None:
@@ -199,26 +197,21 @@ class GradCheckReport:
         return all(err < self.tolerance for err in self.errors.values())
 
 
-def grad_check(params: ModelParams, queries, l2: float = 0.0, epsilon: float = 1e-5,
-               tolerance: float = 1e-4, tensors=None) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+def grad_check(params: ModelParams, queries, l2: float = 0.0,
+               tolerance: float = 1e-4) -> GradCheckReport:
+    """Compare the analytic gradient of every trainable tensor against
+    central finite differences.
 
     The objective is the mean query loss plus l2/2 * sum of squared trainable
     parameters (matching what sgd_step descends). Runs on float64 models
-    only, such as ``HyperParams()``: at epsilon 1e-5, float32 rounding of the
-    loss (about 1e-7 relative) would swamp the differences. The float32
-    models ``HyperParams.defaults_for`` gives run the same kernels, so this
-    check gates their gradients too. An explicit empty tensor list is a
-    vacuous pass.
+    only, such as ``HyperParams()``: at a step of GRAD_CHECK_EPSILON, float32
+    rounding of the loss (about 1e-7 relative) would swamp the differences.
+    The float32 models ``HyperParams.defaults_for`` gives run the same
+    kernels, so this check gates their gradients too.
     """
     if params.hyper.dtype != "float64":
         raise ConfigError("grad_check requires float64 parameters")
-    selected = [t for t in params.trainable_tensors()
-                if tensors is None or t.name in tensors]
-    if tensors is not None:
-        unknown = set(tensors) - {t.name for t in params.trainable_tensors()}
-        if unknown:
-            raise ConfigError(f"unknown or frozen tensors requested: {sorted(unknown)}")
+    selected = params.trainable_tensors()
     if not queries:
         raise ConfigError("grad_check needs at least one query")
 
@@ -245,12 +238,12 @@ def grad_check(params: ModelParams, queries, l2: float = 0.0, epsilon: float = 1
         flat_numeric = numeric.reshape(-1)
         for idx in range(flat_value.size):
             original = flat_value[idx]
-            flat_value[idx] = original + epsilon
+            flat_value[idx] = original + GRAD_CHECK_EPSILON
             up = objective()
-            flat_value[idx] = original - epsilon
+            flat_value[idx] = original - GRAD_CHECK_EPSILON
             down = objective()
             flat_value[idx] = original
-            flat_numeric[idx] = (up - down) / (2 * epsilon)
+            flat_numeric[idx] = (up - down) / (2 * GRAD_CHECK_EPSILON)
         errors[tensor.name] = rel_error(analytic[tensor.name], numeric)
     report = GradCheckReport(tolerance, errors)
     if math.isnan(sum(errors.values(), 0.0)):

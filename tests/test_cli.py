@@ -90,6 +90,18 @@ def test_inspect_transitions_and_disagreement(corpus, checkpoint, capsys):
     assert capsys.readouterr().out.startswith("entities: ")
 
 
+@pytest.mark.parametrize("setup", [1, 2, 3])
+def test_disagreement_reports_the_stats_eval_reports(corpus, checkpoint, tmp_path, capsys, setup):
+    common = ("--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl", "--setup", setup)
+    assert run("eval", *common, "--out", tmp_path) == 0
+    stats = json.loads((tmp_path / "report.json").read_text())["disagreement"]
+    capsys.readouterr()
+    assert run("disagreement", *common) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"entities: {stats['n_groups']}",
+                         f"disagreeing: {stats['n_disagreeing']} ({100 * stats['fraction']:.2f}%)"]
+
+
 @pytest.mark.parametrize("value", ["-inf", "-1e9"])
 def test_negative_value_follows_its_flag(checkpoint, capsys, value):
     # argparse alone reads -inf and -1e9 as flags and exits 2
@@ -160,6 +172,18 @@ def test_overflowing_checkpoint_exits_1_with_one_line(corpus, checkpoint, tmp_pa
     (line,) = capsys.readouterr().err.splitlines()
     assert line == ("error: non-finite scores: a model parameter is non-finite or "
                     "overflows float32")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_checkpoint_value_exits_1_naming_the_tensor(corpus, checkpoint, tmp_path,
+                                                               capsys, value):
+    params, meta = load_checkpoint(checkpoint)
+    params["re_ctx_w"].value[2, 1] = value
+    save_checkpoint(tmp_path / "ck", params, meta["seed"])
+    assert run("eval", "--checkpoint", tmp_path / "ck", "--corpus", corpus / "dev.jsonl") == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {tmp_path / 'ck' / 'params.bin'}: tensor re_ctx_w holds a non-finite value"
 
 
 def test_embedding_value_outside_float32_exits_1_naming_the_line(corpus, tmp_path, capsys):

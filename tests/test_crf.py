@@ -23,15 +23,27 @@ def random_instance(rng, n=11, scale=2.0):
     return d, q
 
 
+def nll(d, q, gold, allowed=None):
+    """nll_and_gradients of one score sequence d [3, N] as a batch of one:
+    (loss, grad_d [3, N], grad_q)."""
+    losses, grad_d, grad_q = crf.nll_and_gradients(d[None], q, [gold], allowed)
+    return float(losses[0]), grad_d[0], grad_q
+
+
+def best_path(d, q, allowed=None):
+    """viterbi of one score sequence d [3, N] as a batch of one."""
+    return tuple(int(v) for v in crf.viterbi(d[None], q, allowed)[0])
+
+
 def log_partition(d, q, gold=(0, 0, 0)):
     """log Z read off the loss: loss = log Z - score(gold), for any gold."""
-    loss, _, _ = crf.nll_and_gradients(d, q, gold)
+    loss, _, _ = nll(d, q, gold)
     return loss + sequence_score(d, gold, q)
 
 
 def marginals(d, q, gold=(0, 0, 0)):
     """P(y_i = c) read off the gradient: grad_d = marginals - one-hot(gold)."""
-    _, grad_d, _ = crf.nll_and_gradients(d, q, gold)
+    _, grad_d, _ = nll(d, q, gold)
     grad_d[np.arange(3), gold] += 1.0
     return grad_d
 
@@ -131,38 +143,38 @@ class TestViterbi:
         d = np.zeros((3, 5))
         d[0, 2] = d[1, 4] = d[2, 0] = 3.0
         q = np.zeros((7, 7))
-        best, score = crf.viterbi(d, q)
+        best = best_path(d, q)
         assert best == (2, 4, 0)
-        assert score == pytest.approx(9.0)
+        assert sequence_score(d, best, q) == pytest.approx(9.0)
 
     def test_matches_brute_force_argmax(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             d, q = random_instance(rng)
-            best, score = crf.viterbi(d, q)
+            best = best_path(d, q)
             oracle_best, oracle_score = brute_force_best(d, q)
             assert best == oracle_best
-            assert score == pytest.approx(oracle_score, abs=1e-9)
+            assert sequence_score(d, best, q) == pytest.approx(oracle_score, abs=1e-9)
 
     def test_row_shift_leaves_argmax(self):
         rng = np.random.default_rng(5)
         d, q = random_instance(rng)
-        best, _ = crf.viterbi(d, q)
+        best = best_path(d, q)
         shifted = d.copy()
         shifted[1] += 123.0
-        assert crf.viterbi(shifted, q)[0] == best
+        assert best_path(shifted, q) == best
 
     def test_q_shift_leaves_argmax(self):
         rng = np.random.default_rng(6)
         d, q = random_instance(rng)
-        best, _ = crf.viterbi(d, q)
-        assert crf.viterbi(d, q + 7.5)[0] == best
+        best = best_path(d, q)
+        assert best_path(d, q + 7.5) == best
 
     def test_tie_break_lowest_earliest(self):
         # all sequences tie; lexicographically smallest must win
         d = np.zeros((3, 3))
         q = np.zeros((5, 5))
-        assert crf.viterbi(d, q)[0] == (0, 0, 0)
+        assert best_path(d, q) == (0, 0, 0)
         assert brute_force_best(d, q)[0] == (0, 0, 0)
 
     def test_tie_break_constructed_paths(self):
@@ -182,9 +194,7 @@ class TestViterbi:
         q[0, end] = 0.0
         assert sequence_score(d, (0, 1, 2), q) == pytest.approx(3.0)
         assert sequence_score(d, (1, 0, 0), q) == pytest.approx(3.0)
-        best, score = crf.viterbi(d, q)
-        assert best == brute_force_best(d, q)[0] == (0, 1, 2)
-        assert score == pytest.approx(3.0)
+        assert best_path(d, q) == brute_force_best(d, q)[0] == (0, 1, 2)
 
     def test_masked_decode_respects_positions(self):
         ls = LabelSpace()
@@ -192,11 +202,10 @@ class TestViterbi:
         allowed = ls.position_mask()
         for _ in range(25):
             d, q = random_instance(rng)
-            best, _ = crf.viterbi(d, q, allowed)
+            best = best_path(d, q, allowed)
             assert ls.is_ec_index(best[0])
             assert ls.is_re_index(best[1])
             assert ls.is_ec_index(best[2])
-
 
     @settings(max_examples=60, deadline=None)
     @given(batch=st.integers(1, 6), n=st.integers(1, 6), masked=st.booleans(),
@@ -212,16 +221,16 @@ class TestViterbi:
         d = draw((batch, 3, n))
         q = draw((n + 2, n + 2))
         allowed = rng.random((3, n)) < 0.6 if masked else None
-        best, scores = crf.viterbi(d, q, allowed)
-        assert best.shape == (batch, 3) and scores.shape == (batch,)
+        best = crf.viterbi(d, q, allowed)
+        assert best.shape == (batch, 3)
+        masked_d = d if allowed is None else crf.apply_position_mask(d, allowed)
         for b in range(batch):
-            row_best, row_score = crf.viterbi(d[b], q, allowed)
+            row_best = best_path(d[b], q, allowed)
             assert tuple(int(v) for v in best[b]) == row_best
-            assert scores[b] == row_score
-            emissions = d[b] if allowed is None else crf.apply_position_mask(d[b], allowed)
-            oracle_best, oracle_score = brute_force_best(emissions, q)
+            oracle_best, oracle_score = brute_force_best(masked_d[b], q)
             assert row_best == oracle_best
-            assert row_score == pytest.approx(oracle_score, abs=1e-6)
+            assert sequence_score(masked_d[b], row_best, q) == pytest.approx(oracle_score,
+                                                                             abs=1e-6)
 
     def test_batch_shape_errors(self):
         q = np.zeros((6, 6))
@@ -229,6 +238,14 @@ class TestViterbi:
             crf.viterbi(np.zeros((2, 2, 4)), q)
         with pytest.raises(ValueError, match="mask shape"):
             crf.viterbi(np.zeros((2, 3, 4)), q, np.ones((2, 3, 4), dtype=bool))
+
+    @pytest.mark.parametrize("call", [
+        lambda d, q: crf.viterbi(d, q),
+        lambda d, q: crf.nll_and_gradients(d, q, [(0, 0, 0)]),
+    ], ids=["viterbi", "nll_and_gradients"])
+    def test_one_unbatched_sequence_rejected(self, call):
+        with pytest.raises(ValueError, match=r"score sequences must be Bx3xN, got \(3, 4\)"):
+            call(np.zeros((3, 4)), np.zeros((6, 6)))
 
 
 class TestMarginals:
@@ -259,7 +276,7 @@ class TestNllAndGradients:
         for i, c in enumerate(gold):
             d[i, c] = 1e6
         q = np.zeros((6, 6))
-        loss, grad_d, grad_q = crf.nll_and_gradients(d, q, gold)
+        loss, grad_d, grad_q = nll(d, q, gold)
         assert loss == pytest.approx(0.0, abs=1e-9)
         assert np.abs(grad_d).max() < 1e-9
         assert np.abs(grad_q).max() < 1e-9
@@ -269,7 +286,7 @@ class TestNllAndGradients:
         d = np.zeros((3, n))
         q = np.zeros((n + 2, n + 2))
         gold = (0, 3, 2)
-        loss, grad_d, _ = crf.nll_and_gradients(d, q, gold)
+        loss, grad_d, _ = nll(d, q, gold)
         assert loss == pytest.approx(3 * math.log(n), abs=1e-12)
         expected = np.full((3, n), 1.0 / n)
         for i, c in enumerate(gold):
@@ -280,7 +297,7 @@ class TestNllAndGradients:
         rng = np.random.default_rng(10)
         d, q = random_instance(rng, n=6)
         gold = (2, 5, 1)
-        _, grad_d, grad_q = crf.nll_and_gradients(d, q, gold)
+        _, grad_d, grad_q = nll(d, q, gold)
 
         def objective():
             return brute_force_logZ(d, q) - sequence_score(d, gold, q)
@@ -296,7 +313,7 @@ class TestNllAndGradients:
         d, q = random_instance(rng, n=7)
         oracle = brute_force_marginals(d, q)
         for gold in ((0, 6, 4), (3, 3, 3), (6, 0, 1)):
-            _, grad_d, _ = crf.nll_and_gradients(d, q, gold)
+            _, grad_d, _ = nll(d, q, gold)
             onehot = np.zeros_like(d)
             for i, c in enumerate(gold):
                 onehot[i, c] = 1.0
@@ -315,7 +332,7 @@ class TestNllAndGradients:
         q = np.zeros((6, 6))
         for gold in ((0, 4, 0), (-1, 0, 0), (0, 0)):  # 4 is the begin tag
             with pytest.raises(ValueError, match="out of class range"):
-                crf.nll_and_gradients(d, q, gold)
+                nll(d, q, gold)
 
     def test_path_probabilities_sum_to_one(self):
         rng = np.random.default_rng(13)
@@ -338,27 +355,26 @@ class TestMaskedNll:
             allowed = rng.random((3, 6)) < 0.5
             allowed[np.arange(3), rng.integers(0, 6, size=3)] = True
             gold = tuple(int(rng.choice(np.flatnonzero(row))) for row in allowed)
-            loss, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
-            masked = crf.apply_position_mask(d, allowed)
+            loss, grad_d, grad_q = nll(d, q, gold, allowed)
+            masked = crf.apply_position_mask(d[None], allowed)[0]
             assert loss == pytest.approx(
                 brute_force_logZ(masked, q) - sequence_score(d, gold, q), abs=1e-9)
             onehot = np.zeros_like(d)
             onehot[np.arange(3), gold] = 1.0
             assert np.allclose(grad_d + onehot, brute_force_marginals(masked, q), atol=1e-9)
             assert not grad_d[~allowed].any()
-            unmasked = crf.nll_and_gradients(masked, q, gold)
+            unmasked = nll(masked, q, gold)
             assert np.array_equal(grad_q, unmasked[2])
 
     @pytest.mark.parametrize("gold", [(5, 5, 0), (0, 0, 0), (0, 5, 6)])
     def test_gold_outside_mask_rejected(self, gold):
         allowed = LabelSpace().position_mask()
         with pytest.raises(ValueError, match="outside the position mask"):
-            crf.nll_and_gradients(np.zeros((3, 11)), np.zeros((13, 13)), gold, allowed)
+            nll(np.zeros((3, 11)), np.zeros((13, 13)), gold, allowed)
 
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="mask shape"):
-            crf.nll_and_gradients(np.zeros((3, 4)), np.zeros((6, 6)), (0, 0, 0),
-                                  np.ones((3, 5), dtype=bool))
+            nll(np.zeros((3, 4)), np.zeros((6, 6)), (0, 0, 0), np.ones((3, 5), dtype=bool))
 
 
 class TestBatchedNll:
@@ -385,19 +401,18 @@ class TestBatchedNll:
             gold[:] = gold[0]  # every row's gold inside the mask
         losses, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
         assert losses.shape == (batch,) and grad_d.shape == d.shape
+        masked_d = d if allowed is None else crf.apply_position_mask(d, allowed)
         summed_q = np.zeros_like(q)
         for b in range(batch):
-            loss, row_grad_d, row_grad_q = crf.nll_and_gradients(d[b], q, tuple(gold[b]),
-                                                                 allowed)
+            loss, row_grad_d, row_grad_q = nll(d[b], q, tuple(gold[b]), allowed)
             assert losses[b] == pytest.approx(loss, rel=1e-13, abs=1e-13)
             assert np.allclose(grad_d[b], row_grad_d, rtol=0, atol=1e-13)
             summed_q += row_grad_q
-            emissions = d[b] if allowed is None else crf.apply_position_mask(d[b], allowed)
             assert loss == pytest.approx(
-                brute_force_logZ(emissions, q) - sequence_score(d[b], gold[b], q), abs=1e-9)
+                brute_force_logZ(masked_d[b], q) - sequence_score(d[b], gold[b], q), abs=1e-9)
             onehot = np.zeros_like(d[b])
             onehot[np.arange(3), gold[b]] = 1.0
-            assert np.allclose(row_grad_d + onehot, brute_force_marginals(emissions, q),
+            assert np.allclose(row_grad_d + onehot, brute_force_marginals(masked_d[b], q),
                                atol=1e-9)
         assert np.allclose(grad_q, summed_q, rtol=0, atol=1e-12)
 

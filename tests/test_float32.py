@@ -164,8 +164,8 @@ class TestStaysFloat32:
         pooled, sel = kmax_pool(conv, 2)
         h = np.tanh(matvec(filters[:, 0], seq))
         outputs = [conv, pooled, kmax_pool_backward(pooled, sel, len(conv)),
-                   *conv1d_backward(conv, seq, filters), h, matvec(filters[:, 0], seq[0]),
-                   tanh_backward(h, h), logsumexp_rows(conv)]
+                   *conv1d_backward(conv, seq, filters), h, tanh_backward(h, h),
+                   logsumexp_rows(conv)]
         assert [out.dtype for out in outputs] == [np.float32] * len(outputs)
 
     @pytest.mark.parametrize("output_layer", LAYERS)
@@ -204,20 +204,21 @@ class TestStaysFloat32:
     def test_prediction(self, monkeypatch, output_layer, masked):
         params, queries = build("float32", output_layer, setup=2)
         seen = []
-        real_forward, real_viterbi = model.forward_sentences, crf.viterbi
+        real_forward, real_path_scores = model.forward_sentences, crf._path_scores
 
         def forward_spy(groups, params):
             d, cache = real_forward(groups, params)
             seen.append((d, cache))
             return d, cache
 
-        def viterbi_spy(*args):
-            best, scores = real_viterbi(*args)
-            seen.append(scores)
-            return best, scores
+        def path_scores_spy(d, q):
+            # the masked scores and the path-score cube viterbi decodes from
+            cube = real_path_scores(d, q)
+            seen.extend((d, cube))
+            return cube
 
         monkeypatch.setattr(model, "forward_sentences", forward_spy)
-        monkeypatch.setattr(crf, "viterbi", viterbi_spy)
+        monkeypatch.setattr(crf, "_path_scores", path_scores_spy)
         preds = predict_queries(queries[:30], params, masked)
         assert len(preds) == 30 and len(seen) >= 2
         assert dtypes(seen) == {np.dtype(np.float32)}

@@ -55,11 +55,11 @@ def index_sort_kmax(column, k):
 
 class TestMatvec:
     def test_direct(self):
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [3.0, 7.0])
+        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0, 1.0]]))
+        assert np.array_equal(out, [[3.0, 7.0]])
 
     def test_identity(self):
-        x = np.array([2.5, -1.0, 0.25])
+        x = np.array([[2.5, -1.0, 0.25], [0.0, 4.0, -3.0]])
         assert np.array_equal(matvec(np.eye(3), x), x)
 
     def test_against_naive_oracle_exact(self):
@@ -67,14 +67,14 @@ class TestMatvec:
         # representable, so the comparison is order-independent and exact
         rng = np.random.default_rng(11)
         m = rng.integers(-10, 11, size=(5, 4)).astype(float)
-        x = rng.integers(-10, 11, size=4).astype(float)
-        assert np.array_equal(matvec(m, x), naive_matvec(m, x))
+        x = rng.integers(-10, 11, size=(1, 4)).astype(float)
+        assert np.array_equal(matvec(m, x)[0], naive_matvec(m, x[0]))
 
     def test_against_naive_oracle_float(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(5, 4))
-        x = rng.normal(size=4)
-        assert np.allclose(matvec(m, x), naive_matvec(m, x), atol=1e-14)
+        x = rng.normal(size=(1, 4))
+        assert np.allclose(matvec(m, x)[0], naive_matvec(m, x[0]), atol=1e-14)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):

@@ -22,6 +22,7 @@ from entrel.model import (
     decode_query,
     encode_task,
     forward_query,
+    forward_sentences,
     gold_indices,
     init_params,
     load_checkpoint,
@@ -376,30 +377,32 @@ class TestScoreTask:
     def test_zero_weights(self):
         params = make_params()
         params["ec_out"].value[...] = 0.0
-        h = np.ones(TINY_HYPER["h_c"] + TINY_HYPER["h_e"])
+        h = np.ones((2, TINY_HYPER["h_c"] + TINY_HYPER["h_e"]))
         assert not score_task(h, "ec", params).any()
 
     def test_linearity(self):
         params = make_params()
         rng = np.random.default_rng(0)
-        h = rng.normal(size=TINY_HYPER["h_c"] + TINY_HYPER["h_e"])
+        h = rng.normal(size=(2, TINY_HYPER["h_c"] + TINY_HYPER["h_e"]))
         assert np.allclose(score_task(2 * h, "re", params),
                            2 * score_task(h, "re", params), atol=1e-12)
 
     def test_matches_matvec_oracle(self):
         params = make_params()
         rng = np.random.default_rng(1)
-        h = rng.normal(size=TINY_HYPER["h_c"] + TINY_HYPER["h_e"])
+        h = rng.normal(size=(2, TINY_HYPER["h_c"] + TINY_HYPER["h_e"]))
         w = params["ec_out"].value
-        expected = np.array([sum(w[i, c] * h[i] for i in range(len(h))) for c in range(11)])
+        expected = np.array([[sum(w[i, c] * row[i] for i in range(len(row))) for c in range(11)]
+                             for row in h])
         assert np.allclose(score_task(h, "ec", params), expected, atol=1e-12)
 
 
 def chain_loss_and_grad(d, params, gold):
-    """Loss and grad_d of the model's output chain, as training runs it."""
+    """Loss and grad_d [3, N] of the model's output chain for one score
+    sequence d [3, N], run as training runs it: a batch, here of one."""
     q, allowed = output_chain(params)
-    loss, grad_d, _ = crf.nll_and_gradients(d, q, gold, allowed)
-    return loss, grad_d
+    losses, grad_d, _ = crf.nll_and_gradients(d[None], q, [gold], allowed)
+    return float(losses[0]), grad_d[0]
 
 
 def softmax_distributions(query, params):
@@ -520,7 +523,7 @@ class TestBackward:
     def test_backward_before_forward_is_state_error(self):
         params = make_params()
         with pytest.raises(RuntimeError, match="before forward"):
-            backward_query(np.zeros((3, 11)), None, params)
+            backward_query(np.zeros((1, 3, 11)), None, params)
 
     def test_full_crf_loss_matches_finite_differences(self):
         params = make_params()
@@ -533,8 +536,8 @@ class TestBackward:
             return brute_force_logZ(d, q) - sequence_score(d, gold, q)
 
         params.zero_grads()
-        d, cache = forward_query(query, params)
-        loss, grad_d, grad_q = crf.nll_and_gradients(d, params.transitions.value, gold)
+        d, cache = forward_sentences([[query]], params)
+        _, grad_d, grad_q = crf.nll_and_gradients(d, params.transitions.value, [gold])
         params.transitions.grad += grad_q
         backward_query(grad_d, cache, params)
 

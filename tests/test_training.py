@@ -176,7 +176,7 @@ class TestTrainLoop:
         # epoch 4 (0.7) is above epoch 3 (0.6): no halving even though it is
         # below the best-so-far 0.8
         assert state.best_metric == pytest.approx(0.8)
-        assert state.epochs_since_improvement == 2
+        assert [r["improved"] for r in records] == [True, True, False, False]
 
     def test_lr_floor_stops_training(self, monkeypatch):
         params, train_q, dev_q, _ = build(n_sentences=20)
@@ -187,8 +187,8 @@ class TestTrainLoop:
             return MetricsReport({}, {}, m, m, m)
 
         monkeypatch.setattr(training, "score_queries", fake_score)
-        config = TrainConfig(max_epochs=40, seed=1, lr_floor=1e-3)
-        state = train_loop(params, train_q, dev_q, config)
+        monkeypatch.setattr(training, "LR_FLOOR", 1e-3)
+        state = train_loop(params, train_q, dev_q, TrainConfig(max_epochs=40, seed=1))
         assert state.epoch < 40
         assert state.lr < 1e-3
         lrs = [r["lr"] for r in state.log]
@@ -251,6 +251,7 @@ class TestGradCheck:
         params, train_q, *_ = build(n_sentences=16)
         report = grad_check(params, train_q[:5], l2=1e-3)
         assert report.passed, report.errors
+        assert set(report.errors) == {t.name for t in params.trainable_tensors()}
         assert max(report.errors.values()) < 1e-6
 
     @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
@@ -280,25 +281,8 @@ class TestGradCheck:
         assert any(name.endswith(("ctx_w", "ent_w", "ctx_b", "ent_b"))
                    for name, err in report.errors.items() if err >= report.tolerance)
 
-    def test_vacuous_pass_with_empty_tensor_list(self):
-        params, train_q, *_ = build(n_sentences=16)
-        report = grad_check(params, train_q[:2], tensors=[])
-        assert report.passed
-        assert report.errors == {}
-
-    def test_unknown_tensor_rejected(self):
-        params, train_q, *_ = build(n_sentences=16)
-        with pytest.raises(ConfigError, match="nope"):
-            grad_check(params, train_q[:2], tensors=["nope"])
-
     def test_requires_float64(self):
         params, train_q, *_ = build(n_sentences=16)
         params.hyper.dtype = "float32"
         with pytest.raises(ConfigError, match="float64"):
             grad_check(params, train_q[:2])
-
-    def test_single_tensor_selection(self):
-        params, train_q, *_ = build(n_sentences=16)
-        report = grad_check(params, train_q[:2], tensors=["transitions"])
-        assert set(report.errors) == {"transitions"}
-        assert report.passed
