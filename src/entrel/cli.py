@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,16 @@ def _load_and_check(checkpoint):
     return params, meta
 
 
+@contextmanager
+def _running(checkpoint):
+    """Prefix a RuntimeError raised while a checkpoint's model runs, such as
+    non-finite scores, with the checkpoint directory."""
+    try:
+        yield
+    except RuntimeError as exc:
+        raise RuntimeError(f"{checkpoint}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     params, _ = _load_and_check(args.checkpoint)
     sentences = load_canonical(args.corpus)
@@ -175,7 +186,8 @@ def cmd_eval(args) -> int:
     if args.oracle:
         preds = [model.gold_indices(q, ls) for q in queries]
     else:
-        preds = model.predict_queries(queries, params, args.masked_decode)
+        with _running(args.checkpoint):
+            preds = model.predict_queries(queries, params, args.masked_decode)
     report = evaluation.score_queries(queries, preds, args.setup, ls,
                                       sentences, args.omit_other)
     text = evaluation.format_report(report, ls)
@@ -212,8 +224,9 @@ def cmd_predict(args) -> int:
         span_i, span_j = span_j, span_i
     sentence = Sentence("cli", tokens, [], [])
     query = Query(sentence, span_i, span_j, "O", NO_RELATION, "O", setup=1)
-    d, _ = model.forward_query(query, params)
-    pred = model.decode_query(d, params, args.masked_decode)
+    with _running(args.checkpoint):
+        d, _ = model.forward_query(query, params)
+        pred = model.decode_query(d, params, args.masked_decode)
     ls = params.label_space
     t1, r, t2 = (ls.label_of(i) for i in pred)
     e1 = " ".join(tokens[span_i[0] : span_i[1]])
@@ -255,7 +268,8 @@ def cmd_disagreement(args) -> int:
     params, _ = _load_and_check(args.checkpoint)
     sentences = load_canonical(args.corpus)
     queries = _generate_queries(sentences, args.setup)
-    preds = model.predict_queries(queries, params, args.masked_decode)
+    with _running(args.checkpoint):
+        preds = model.predict_queries(queries, params, args.masked_decode)
     stats = evaluation.score_queries(queries, preds, args.setup, params.label_space,
                                      sentences).disagreement
     print(f"entities: {stats.n_groups}")

@@ -2,10 +2,11 @@
 
 All functions operate on plain numpy arrays and are pure: forward ops take
 inputs and return outputs, backward ops take the upstream gradient plus the
-values recorded at forward time and return input gradients. Callers own the
-bookkeeping of which forward values feed which backward call (see
-``model.forward_sentences`` / ``model.backward_query``, which run each
-kernel once for a whole mini-batch).
+values recorded at forward time and return input gradients, never adding
+into a caller's buffer. Callers own the bookkeeping of which forward values
+feed which backward call (see ``model.forward_sentences`` /
+``model.backward_query``, which run each kernel once for a whole mini-batch
+and write each parameter's gradient buffer once per batch).
 
 Every kernel computes in the dtype of its inputs and returns that dtype.
 The tuned models (``HyperParams.defaults_for``) train and predict in
@@ -97,18 +98,16 @@ def kmax_pool_backward(grad_out: np.ndarray, sel: np.ndarray, input_rows: int) -
 
     grad_out and sel are [..., k, nk]; every leading item routes into the
     same [input_rows, nk] gradient, so sel of a batch indexes one shared
-    input.
+    input and a row that several items select gets their sum. One scatter
+    on the flat index sel * nk + column: a zero-padded slot (sel -1) lands
+    in a spare row after the input's, which the result leaves out.
     """
     nk = grad_out.shape[-1]
-    grad_seq = np.zeros((input_rows, nk), dtype=grad_out.dtype)
-    valid = sel >= 0
-    cols = np.broadcast_to(np.arange(nk), sel.shape)
-    np.add.at(
-        grad_seq,
-        (np.where(valid, sel, 0), cols),
-        np.where(valid, grad_out, 0.0),
-    )
-    return grad_seq
+    index = sel * nk
+    index += np.arange(nk)
+    grad_seq = np.zeros((input_rows + 1) * nk, dtype=grad_out.dtype)
+    np.add.at(grad_seq, index.reshape(-1), grad_out.reshape(-1))
+    return grad_seq.reshape(input_rows + 1, nk)[:input_rows]
 
 
 def logsumexp_rows(mat: np.ndarray) -> np.ndarray:
@@ -146,7 +145,8 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class ParamTensor:
-    """A trainable tensor paired with its gradient accumulation buffer."""
+    """A trainable tensor paired with its gradient buffer, which each
+    training backward overwrites."""
 
     name: str
     value: np.ndarray
@@ -159,9 +159,6 @@ class ParamTensor:
             raise ValueError(
                 f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
             )
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
     @property
     def shape(self):

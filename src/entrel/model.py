@@ -15,6 +15,13 @@ mini-batch into one encoding and runs each layer once for the batch
 (``forward_sentences``, ``backward_query``); ``predict_queries`` encodes
 each sentence once for all its queries and decodes them as one batch.
 
+The backward writes each parameter's gradient buffer once per batch: weight
+and bias gradients go straight into their buffers as one product or sum, and
+gradients that several inputs send to one span are summed by a
+0/1 routing product, not accumulated. The embeddings, which both CNNs
+scatter into, are the one buffer the backward clears itself, so no pass over
+the whole model zeroes gradients between batches.
+
 Both output layers are the linear chain of ``crf`` over the score sequence
 (``output_chain``): the CRF with its learned transitions, globally
 normalized, and the softmax baseline as that chain without transitions,
@@ -138,10 +145,6 @@ class ModelParams:
             out.append(tensor)
         return out
 
-    def zero_grads(self):
-        for tensor in self._tensors.values():
-            tensor.zero_grad()
-
     def task_tensors(self, task: str):
         return (
             self[f"{task}_ctx_w"],
@@ -254,11 +257,32 @@ def _pool_windows(conv, windows, k):
     return pooled, sel
 
 
+def _route(ids, n_rows: int, grad):
+    """Sum the rows of grad [len(ids), D] into [n_rows, D] by ``ids``, as one
+    product of a 0/1 routing matrix [n_rows, len(ids)] with grad: rows that
+    share an id sum."""
+    route = np.arange(n_rows)[:, None] == ids
+    return route.astype(grad.dtype) @ grad
+
+
+def _check_finite(values, what: str, params: ModelParams):
+    """A RuntimeError naming ``what`` unless every one of ``values`` is
+    finite; only a non-finite parameter or an overflow of the model's dtype
+    gives a non-finite value."""
+    if not np.isfinite(values).all():
+        raise RuntimeError(f"non-finite {what}: a model parameter is non-finite or "
+                           f"overflows {params.hyper.dtype}")
+
+
+_CNN_NAMES = {"ctx": "context", "ent": "entity"}
+
+
 class _CnnPass:
     """One CNN run once over a token sequence, pooled for a list of parts.
 
     ``features`` holds each span's pooled parts, flattened in part order.
-    Gradients on them accumulate in ``grad_pooled`` until ``backward``.
+    Gradients on them gather in ``grad_pooled`` until ``backward``. A
+    non-finite conv output is a RuntimeError naming the CNN.
     """
 
     def __init__(self, ids, params: ModelParams, prefix: str, width: int, parts, n_spans: int):
@@ -272,28 +296,37 @@ class _CnnPass:
         self.mat = np.zeros((len(positions), emb.shape[1]), dtype=emb.dtype)
         self.mat[real] = emb[self.row_ids[real]]
         conv = conv1d(self.mat, self.filters.value, self.bias.value)
+        _check_finite(conv, f"{_CNN_NAMES[prefix]} CNN output", params)
         self.conv_rows = conv.shape[0]
         self.pooled, self.sel = _pool_windows(conv, windows, params.hyper.k)
         self.features = self.pooled.reshape(n_spans, -1)
         self.grad_pooled = None
 
+    def gather(self, span_ids):
+        """The features of each input's spans [B, S] concatenated: [B, S * D]."""
+        return self.features[span_ids].reshape(len(span_ids), -1)
+
     def add_grad(self, span_ids, grad_concat):
-        """Accumulate the gradient of features[span_ids] flattened per input."""
+        """Add the gradient of features[span_ids] [B, S], flattened per input
+        as [B, S * D], to ``grad_pooled``; a span repeated in span_ids gets
+        the sum."""
+        flat = span_ids.reshape(-1)
+        grad = _route(flat, len(self.features), grad_concat.reshape(len(flat), -1))
+        grad = grad.reshape(self.pooled.shape)
         if self.grad_pooled is None:
-            self.grad_pooled = np.zeros_like(self.pooled)
-        grad = self.grad_pooled.reshape(self.features.shape)
-        np.add.at(grad, span_ids, grad_concat.reshape(span_ids.shape + (-1,)))
+            self.grad_pooled = grad
+        else:
+            self.grad_pooled += grad
 
     def backward(self, params: ModelParams):
-        """Push the accumulated pooled gradient back through pooling, the
-        conv and the embedding lookup: one call of each per pass."""
-        if self.grad_pooled is None:
-            return
+        """Push the gathered pooled gradient back through pooling, the conv
+        and the embedding lookup: one call of each per pass. Writes the
+        filter and bias gradients and adds the embedding rows' gradients."""
         grad_conv = kmax_pool_backward(self.grad_pooled, self.sel, self.conv_rows)
         self.grad_pooled = None
         grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, self.mat, self.filters.value)
-        self.filters.grad += grad_filters
-        self.bias.grad += grad_bias
+        self.filters.grad[...] = grad_filters
+        self.bias.grad[...] = grad_bias
         if params.embeddings.trainable:
             real = self.row_ids >= 0
             np.add.at(params["embeddings"].grad, self.row_ids[real], grad_mat[real])
@@ -328,7 +361,11 @@ class SentenceEncoding:
         self.ent = _CnnPass(ids, params, "ent", hyper.ent_width, ent_parts, len(ent_parts))
 
     def backward(self, params: ModelParams):
-        """Accumulate both CNNs' gradients from what encode_task_backward routed here."""
+        """Write both CNNs' gradients from what encode_task_backward routed
+        here. The embeddings are the one tensor both CNNs scatter into: their
+        gradient is cleared first."""
+        if params.embeddings.trainable:
+            params["embeddings"].grad[...] = 0.0
         self.ctx.backward(params)
         self.ent.backward(params)
 
@@ -350,17 +387,13 @@ def encode_task(enc: SentenceEncoding, task: str, span_ids, params: ModelParams)
         raise ValueError(f"task {task!r} expects {n_spans} span(s) per input, "
                          f"got span ids of shape {span_ids.shape}")
     ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
-    ctx_concat = enc.ctx.features[span_ids].reshape(len(span_ids), -1)
-    ent_concat = enc.ent.features[span_ids].reshape(len(span_ids), -1)
-    h_ctx = np.tanh(matvec(ctx_w.value.T, ctx_concat) + ctx_b.value)
-    h_ent = np.tanh(matvec(ent_w.value.T, ent_concat) + ent_b.value)
+    h_ctx = np.tanh(matvec(ctx_w.value.T, enc.ctx.gather(span_ids)) + ctx_b.value)
+    h_ent = np.tanh(matvec(ent_w.value.T, enc.ent.gather(span_ids)) + ent_b.value)
     h = np.concatenate([h_ctx, h_ent], axis=1)
     cache = {
         "task": task,
         "enc": enc,
         "span_ids": span_ids,
-        "ctx_concat": ctx_concat,
-        "ent_concat": ent_concat,
         "h_ctx": h_ctx,
         "h_ent": h_ent,
     }
@@ -375,19 +408,30 @@ def score_task(h, task: str, params: ModelParams):
 
 
 def encode_task_backward(grad_h, cache, params: ModelParams):
-    """Accumulate gradients of one encode_task call into the param buffers,
-    each weight gradient as one matrix product over the call's inputs;
-    the pooled-feature gradient goes to the sentence encoding, whose
-    ``backward`` finishes the CNNs."""
-    ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(cache["task"])
+    """Write the gradients of one encode_task call's hidden layers into
+    their buffers, each weight gradient as one matrix product over the
+    call's inputs; the pooled-feature gradient goes to the sentence
+    encoding, whose ``backward`` finishes the CNNs.
+
+    A hidden layer whose every unit is at +-1 on every input passes no
+    gradient to the CNNs; that is a RuntimeError naming the layer.
+    """
+    task = cache["task"]
+    ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
+    for group in ("ctx", "ent"):
+        if np.abs(cache[f"h_{group}"]).min() == 1.0:
+            raise RuntimeError(f"saturated {task} {_CNN_NAMES[group]} hidden layer: every "
+                               f"unit is at +-1 on every input, so no gradient passes it")
     h_c = params.hyper.h_c
     grad_pre_ctx = tanh_backward(cache["h_ctx"], grad_h[:, :h_c])
     grad_pre_ent = tanh_backward(cache["h_ent"], grad_h[:, h_c:])
-    ctx_w.grad += cache["ctx_concat"].T @ grad_pre_ctx
-    ctx_b.grad += grad_pre_ctx.sum(axis=0)
-    ent_w.grad += cache["ent_concat"].T @ grad_pre_ent
-    ent_b.grad += grad_pre_ent.sum(axis=0)
     enc, span_ids = cache["enc"], cache["span_ids"]
+    # the inputs' features are gathered again, not kept from the forward:
+    # the cache then holds no copy of them while the CNNs' backward runs
+    np.matmul(enc.ctx.gather(span_ids).T, grad_pre_ctx, out=ctx_w.grad)
+    np.sum(grad_pre_ctx, axis=0, out=ctx_b.grad)
+    np.matmul(enc.ent.gather(span_ids).T, grad_pre_ent, out=ent_w.grad)
+    np.sum(grad_pre_ent, axis=0, out=ent_b.grad)
     enc.ctx.add_grad(span_ids, grad_pre_ctx @ ctx_w.value.T)
     enc.ent.add_grad(span_ids, grad_pre_ent @ ent_w.value.T)
 
@@ -443,20 +487,21 @@ def forward_query(query: Query, params: ModelParams):
 
 def backward_query(grad_d, cache, params: ModelParams):
     """Push gradients on the score sequences [B, 3, N] of one
-    forward_sentences call back into all parameters: one product per layer
-    for the whole batch."""
+    forward_sentences call back into the parameters: one product per layer
+    for the whole batch. Writes the gradient of every parameter but the
+    transitions, whose gradient the loss gives, replacing what the buffers
+    held."""
     if cache is None:
         raise RuntimeError("backward_query called before forward_query")
     pairs = cache["pairs"]
     h_ec, h_re = cache["h"]
-    grad_ec = np.zeros((len(h_ec), grad_d.shape[2]), dtype=grad_d.dtype)
-    np.add.at(grad_ec, pairs[:, 0], grad_d[:, 0])
-    np.add.at(grad_ec, pairs[:, 1], grad_d[:, 2])
+    # positions 0 and 2 score the pairs' first and second spans, in pairs' order
+    grad_ec = _route(pairs.reshape(-1), len(h_ec), grad_d[:, ::2].reshape(-1, grad_d.shape[2]))
     for task, h, grad_scores, task_cache in zip(
         TASKS, (h_ec, h_re), (grad_ec, grad_d[:, 1]), cache["tasks"]
     ):
         out = params.task_tensors(task)[4]
-        out.grad += h.T @ grad_scores
+        np.matmul(h.T, grad_scores, out=out.grad)
         encode_task_backward(grad_scores @ out.value.T, task_cache, params)
     cache["enc"].backward(params)
 
@@ -487,12 +532,9 @@ def decode_query(d, params: ModelParams, masked: bool = False):
     """Predicted (t1, r, t2) unified indices for one score sequence [3, N],
     or a list of them for a batch [B, 3, N].
 
-    A non-finite score, which only a non-finite parameter or an overflow of
-    the model's dtype gives, is a RuntimeError: no triple would be the best.
+    A non-finite score is a RuntimeError: no triple would be the best.
     """
-    if not np.isfinite(d).all():
-        raise RuntimeError(f"non-finite scores: a model parameter is non-finite or "
-                           f"overflows {params.hyper.dtype}")
+    _check_finite(d, "scores", params)
     batch = d if d.ndim == 3 else d[None]
     best = crf.viterbi(batch, *output_chain(params, masked))
     triples = [params.shared_triple(tuple(row)) for row in best.tolist()]

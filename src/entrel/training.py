@@ -72,11 +72,17 @@ def _batch_nll(queries, params: ModelParams):
 
 
 def query_loss_and_backward(queries, params: ModelParams) -> float:
-    """Forward, loss and full backward for a batch of queries in one pass;
-    gradients accumulate as sums over the batch. Returns the summed loss."""
+    """Forward, loss and full backward for a batch of queries in one pass.
+
+    Writes the gradient of the batch's mean loss into every trainable
+    tensor's buffer, replacing what it held: the 1/B scale applies to the
+    score and transition gradients before the backward, and no buffer needs
+    clearing first. Returns the summed loss."""
     (losses, grad_d, grad_q), cache = _batch_nll(queries, params)
+    scale = 1.0 / len(queries)
+    grad_d *= scale
     if params.hyper.output_layer == "crf":
-        params.transitions.grad += grad_q
+        np.multiply(grad_q, scale, out=params.transitions.grad)
     backward_query(grad_d, cache, params)
     return float(losses.sum())
 
@@ -85,9 +91,9 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
     """theta <- theta * (1 - lr * l2) - lr * grad for every trainable tensor,
     in place; the gradient buffers are left holding lr * grad.
 
-    Gradient buffers must already hold the batch mean. Every gradient is
-    checked before any tensor moves, so a non-finite one leaves the
-    parameters as they were.
+    The gradient buffers hold the batch-mean gradient that
+    query_loss_and_backward wrote. Every gradient is checked before any
+    tensor moves, so a non-finite one leaves the parameters as they were.
     """
     trainable = params.trainable_tensors()
     for tensor in trainable:
@@ -109,6 +115,11 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     previous epoch's value the learning rate halves. The best-on-dev
     checkpoint is kept alongside the final one. Stops at max_epochs or when
     the learning rate falls below LR_FLOOR.
+
+    A batch whose loss, backward or step fails raises a RuntimeError naming
+    the epoch, the batch and its sentences. The parameters are then still
+    those from before that batch; with ``out_dir`` they are first saved as
+    the final checkpoint, its ``extra`` naming the epoch and the batch.
     """
     if not train_queries:
         raise ConfigError("empty train set")
@@ -117,7 +128,6 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     state = TrainState(lr=config.learning_rate)
     rng = np.random.default_rng((config.seed, 1))
     prev_metric = None
-    trainable = params.trainable_tensors()
 
     for epoch in range(1, config.max_epochs + 1):
         state.epoch = epoch
@@ -125,15 +135,14 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
         epoch_loss = 0.0
         for number, start in enumerate(range(0, len(order), config.batch_size), start=1):
             batch = [train_queries[index] for index in order[start : start + config.batch_size]]
-            params.zero_grads()
-            epoch_loss += query_loss_and_backward(batch, params)
-            scale = 1.0 / len(batch)
-            for tensor in trainable:
-                tensor.grad *= scale
             try:
+                epoch_loss += query_loss_and_backward(batch, params)
                 sgd_step(params, state.lr, config.l2)
             except RuntimeError as exc:
                 ids = ", ".join(dict.fromkeys(query.sentence_id for query in batch))
+                if out_dir is not None:
+                    save_checkpoint(out_dir / "final", params, config.seed,
+                                    extra={"epoch": epoch, "batch": number})
                 raise RuntimeError(f"epoch {epoch}, batch {number} (sentences {ids}): "
                                    f"{exc}") from None
         train_loss = epoch_loss / len(train_queries)
@@ -222,14 +231,8 @@ def grad_check(params: ModelParams, queries, l2: float = 0.0,
                                     for t in params.trainable_tensors())
         return total
 
-    params.zero_grads()
     query_loss_and_backward(queries, params)
-    analytic = {}
-    for tensor in selected:
-        grad = tensor.grad / len(queries)
-        if l2 > 0:
-            grad = grad + l2 * tensor.value
-        analytic[tensor.name] = grad.copy()
+    analytic = {tensor.name: tensor.grad + l2 * tensor.value for tensor in selected}
 
     errors = {}
     for tensor in selected:

@@ -138,7 +138,7 @@ def test_failed_sgd_step_exits_1_naming_the_batch(corpus, tmp_path, capsys, monk
 
 
 def test_overflow_in_training_exits_1_with_one_line_and_no_warning(corpus, tmp_path, capsys):
-    # every value fits float32, but the products of the first batch overflow it
+    # every value fits float32, but the first batch's context convolution overflows it
     sentences = load_canonical(corpus / "train.jsonl") + load_canonical(corpus / "dev.jsonl")
     vocab = corpus_vocabulary(sentences)
     rng = np.random.default_rng(0)
@@ -151,7 +151,27 @@ def test_overflow_in_training_exits_1_with_one_line_and_no_warning(corpus, tmp_p
     assert [str(w.message) for w in caught] == []
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: epoch 1, batch 1 (sentences synth-")
-    assert line.endswith("): non-finite gradient in tensor embeddings")
+    assert line.endswith("): non-finite context CNN output: a model parameter is non-finite "
+                         "or overflows float32")
+
+
+def test_saturated_hidden_layer_exits_1_and_keeps_the_initial_model(corpus, tmp_path, capsys):
+    # every value 1e38: no product overflows float32, but every tanh unit of
+    # the hidden layers sits at +-1, so no gradient would reach the CNNs
+    sentences = load_canonical(corpus / "train.jsonl") + load_canonical(corpus / "dev.jsonl")
+    vocab = corpus_vocabulary(sentences)
+    rows = [" ".join([word] + ["1e38"] * 6) for word in vocab]
+    (tmp_path / "vec.txt").write_text("\n".join([f"{len(vocab)} 6", *rows]) + "\n")
+    assert train(corpus, tmp_path / "run", "--embeddings", tmp_path / "vec.txt",
+                 "--max-epochs", 1, *TINY_FLAGS) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: epoch 1, batch 1 (sentences synth-")
+    assert line.endswith("): saturated ec context hidden layer: every unit is at +-1 on "
+                         "every input, so no gradient passes it")
+    saved, meta = load_checkpoint(tmp_path / "run" / "final")
+    assert meta["extra"] == {"epoch": 1, "batch": 1}
+    rows = [saved.embeddings.lookup(word) for word in vocab]
+    assert (saved["embeddings"].value[rows] == np.float32(1e38)).all()  # no step was taken
 
 
 @pytest.mark.parametrize("command", [
@@ -170,8 +190,8 @@ def test_overflowing_checkpoint_exits_1_with_one_line(corpus, checkpoint, tmp_pa
         assert run(name, "--checkpoint", tmp_path / "ck", *flags) == 1
     assert [str(w.message) for w in caught] == []
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == ("error: non-finite scores: a model parameter is non-finite or "
-                    "overflows float32")
+    assert line == (f"error: {tmp_path / 'ck'}: non-finite scores: a model parameter is "
+                    "non-finite or overflows float32")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],

@@ -180,8 +180,7 @@ class TestStaysFloat32:
         q, allowed = output_chain(params)
         losses, grad_d, grad_q = crf.nll_and_gradients(d, q, gold, allowed)
         assert dtypes([losses, grad_d, grad_q]) == {np.dtype(np.float32)}
-        params.zero_grads()
-        params.transitions.grad += grad_q
+        params.transitions.grad[...] = grad_q
         backward_query(grad_d, cache, params)
         assert dtypes(cache) == {np.dtype(np.float32)}
         tensors = params.all_tensors()
@@ -194,7 +193,6 @@ class TestStaysFloat32:
     @pytest.mark.parametrize("output_layer", LAYERS)
     def test_batch_loss_and_backward(self, output_layer):
         params, queries = build("float32", output_layer, setup=2)
-        params.zero_grads()
         loss = query_loss_and_backward(queries[:12], params)
         assert np.isfinite(loss)
         assert dtypes(params.all_tensors()) == {np.dtype(np.float32)}

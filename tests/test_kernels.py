@@ -18,6 +18,7 @@ from entrel.kernels import (
 )
 
 from conftest import finite_difference
+from scatter_oracles import kmax_pool_backward_oracle
 
 
 # --- oracles, written independently of the kernels ---
@@ -204,6 +205,32 @@ class TestKMaxPool:
         grad = kmax_pool_backward(grad_out, sel, 4)
         assert grad[:, 0].tolist() == [1.0, 0.0, 12.0, 0.0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_backward_flat_scatter_matches_add_at_oracle(self, data):
+        # windows of one shared input, overlapping as a sentence's context
+        # parts do: a row that several windows select gets their sum, and
+        # windows of k rows or fewer have padded slots
+        rows = data.draw(st.integers(1, 9), label="rows")
+        k = data.draw(st.integers(1, 4), label="k")
+        nk = data.draw(st.integers(1, 4), label="nk")
+        starts = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=6),
+                           label="starts")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        seq = rng.integers(-2, 3, size=(rows, nk)).astype(float)  # ties common
+        length = data.draw(st.integers(1, rows), label="length")  # clipped at the end
+        sel = []
+        for start in starts:
+            stop = min(rows, start + length)
+            _, picked = kmax_pool(seq[start:stop], k)
+            sel.append(np.where(picked >= 0, picked + start, -1))
+        sel = np.stack(sel)
+        grad_out = rng.normal(size=sel.shape)
+        grad = kmax_pool_backward(grad_out, sel, rows)
+        oracle = kmax_pool_backward_oracle(grad_out, sel, rows)
+        assert grad.shape == oracle.shape == (rows, nk)
+        assert np.allclose(grad, oracle, rtol=0, atol=1e-12)
+
 
 def logsumexp(xs):
     """logsumexp_rows of one vector, as one row."""
@@ -294,12 +321,6 @@ class TestBackwardPasses:
 
 
 class TestParamTensor:
-    def test_zero_grad(self):
-        tensor = ParamTensor("w", np.ones((2, 2)))
-        tensor.grad += 3.0
-        tensor.zero_grad()
-        assert not tensor.grad.any()
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ParamTensor("w", np.ones((2, 2)), grad=np.zeros(3))

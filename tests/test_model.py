@@ -36,6 +36,7 @@ from entrel.querygen import Query, QueryError, gen_setup1, gen_setup3
 import softmax_oracles
 from conftest import FIG_TOKENS, TINY_HYPER, finite_difference
 from crf_oracles import brute_force_logZ, sequence_score
+from scatter_oracles import route_oracle
 
 
 def make_sentence():
@@ -219,11 +220,9 @@ class TestEncode:
         # right context (left_i, mid_i) and its entity part (ent_i)
         params = make_params()
         enc = SentenceEncoding([(make_sentence().tokens, [(1, 2), (4, 5)])], params)
-        _, ec_cache = encode_task(enc, "ec", [[0]], params)
-        _, re_cache = encode_task(enc, "re", [[0, 1]], params)
-        for key in ("ctx_concat", "ent_concat"):
-            ec_block = ec_cache[key][0]
-            assert np.array_equal(re_cache[key][0, : ec_block.size], ec_block)
+        for cnn in (enc.ctx, enc.ent):
+            ec_block = cnn.gather(np.array([[0]]))[0]
+            assert np.array_equal(cnn.gather(np.array([[0, 1]]))[0, : ec_block.size], ec_block)
 
     def test_forward_deterministic(self):
         params = make_params()
@@ -293,7 +292,6 @@ class TestSentenceEncoding:
             params[name].value[...] = draw(params[name].shape)
         emb = params["embeddings"].value
 
-        params.zero_grads()
         enc = SentenceEncoding(sentences, params)
         n_spans = sum(len(spans) for _, spans in sentences)
         expected = {name: np.zeros_like(params[name].value) for name in cnn_names}
@@ -320,6 +318,38 @@ class TestSentenceEncoding:
         enc.backward(params)
         for name in cnn_names:
             assert same(params[name].grad, expected[name]), name
+
+
+class TestGradientRouting:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_add_grad_matches_add_at_oracle(self, data):
+        """Both tasks' feature gradients, routed to a CNN's spans by one
+        product each, equal np.add.at sums: a span that several inputs
+        read, within one call or across the two, gets every input's part."""
+        n_tokens = data.draw(st.integers(2, 8), label="n_tokens")
+        spans = sorted(data.draw(st.sets(st.tuples(st.integers(0, n_tokens - 1),
+                                                   st.integers(1, n_tokens)).filter(
+            lambda span: span[0] < span[1]), min_size=1, max_size=4), label="spans"))
+        n_spans = len(spans)
+        pairs = np.array(data.draw(st.lists(st.tuples(st.integers(0, n_spans - 1),
+                                                      st.integers(0, n_spans - 1)),
+                                            min_size=1, max_size=6), label="pairs"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        tokens = [f"w{i}" for i in rng.integers(0, 3, size=n_tokens)]
+        params = make_params(sentences=[Sentence("p", tokens, [], [])])
+        enc = SentenceEncoding([(tokens, spans)], params)
+        for cnn in (enc.ctx, enc.ent):
+            width = cnn.features.shape[1]
+            singles = np.arange(n_spans)[:, None]
+            grad_ec = rng.normal(size=(n_spans, width))
+            grad_re = rng.normal(size=(len(pairs), 2 * width))
+            cnn.add_grad(singles, grad_ec)
+            cnn.add_grad(pairs, grad_re)
+            oracle = (route_oracle(singles.reshape(-1), n_spans, grad_ec)
+                      + route_oracle(pairs.reshape(-1), n_spans, grad_re.reshape(-1, width)))
+            assert cnn.grad_pooled.shape == cnn.pooled.shape
+            assert np.allclose(cnn.grad_pooled.reshape(n_spans, -1), oracle, rtol=0, atol=1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,10 +565,9 @@ class TestBackward:
             q = params.transitions.value
             return brute_force_logZ(d, q) - sequence_score(d, gold, q)
 
-        params.zero_grads()
         d, cache = forward_sentences([[query]], params)
         _, grad_d, grad_q = crf.nll_and_gradients(d, params.transitions.value, [gold])
-        params.transitions.grad += grad_q
+        params.transitions.grad[...] = grad_q
         backward_query(grad_d, cache, params)
 
         for name in ("ec_out", "re_ctx_w", "ent_filters", "ctx_bias", "embeddings",

@@ -1,11 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entrel import synth, training
 from entrel.corpus import LabelSpace, corpus_vocabulary, random_embeddings
 from entrel.evaluation import MetricsReport
-from entrel.model import HyperParams, forward_query, gold_indices, init_params, predict_queries
-from entrel.querygen import ConfigError, gen_setup1, gen_setup2
+from entrel.model import (
+    HyperParams,
+    forward_query,
+    gold_indices,
+    init_params,
+    load_checkpoint,
+    predict_queries,
+)
+from entrel.querygen import ConfigError, gen_setup1, gen_setup2, subsample_negatives
 from entrel.training import (
     GradCheckReport,
     TrainConfig,
@@ -34,7 +43,6 @@ class TestSgdStep:
     def test_zero_grads_no_l2_unchanged(self):
         params, *_ = build()
         before = {t.name: t.value.copy() for t in params.all_tensors()}
-        params.zero_grads()
         sgd_step(params, lr=0.1, l2=0.0)
         for tensor in params.all_tensors():
             assert np.array_equal(tensor.value, before[tensor.name])
@@ -42,7 +50,6 @@ class TestSgdStep:
     def test_pure_shrink_with_l2(self):
         params, *_ = build()
         before = {t.name: t.value.copy() for t in params.trainable_tensors()}
-        params.zero_grads()
         sgd_step(params, lr=0.1, l2=0.01)
         for tensor in params.trainable_tensors():
             assert np.allclose(tensor.value, before[tensor.name] * (1 - 0.1 * 0.01),
@@ -53,7 +60,6 @@ class TestSgdStep:
         # hand-computed update theta' = theta - lr * ((theta - 3) + l2 * theta)
         params, *_ = build()
         q = params.transitions
-        params.zero_grads()
         theta = 1.5
         lr, l2 = 0.2, 0.01
         q.value[0, 0] = theta
@@ -64,7 +70,6 @@ class TestSgdStep:
 
     def test_nonfinite_gradient_aborts_with_name(self):
         params, *_ = build()
-        params.zero_grads()
         params["ec_out"].grad[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="ec_out"):
             sgd_step(params, lr=0.1, l2=0.0)
@@ -103,17 +108,62 @@ class TestBatchedLossAndBackward:
         for tensor in params.all_tensors():  # spread-out weights: gradients everywhere
             tensor.value[...] = rng.normal(scale=0.5, size=tensor.shape)
         batch = shared_sentence_batch()
-        params.zero_grads()
         loss = query_loss_and_backward(batch, params)
         batched = {t.name: t.grad.copy() for t in params.all_tensors()}
-        params.zero_grads()
-        single = sum(query_loss_and_backward([query], params) for query in batch)
+        summed = {t.name: np.zeros_like(t.grad) for t in params.all_tensors()}
+        single = 0.0
+        for query in batch:  # each call writes its own query's gradient
+            single += query_loss_and_backward([query], params)
+            for tensor in params.all_tensors():
+                summed[tensor.name] += tensor.grad
         assert loss == pytest.approx(single, rel=1e-12)
         for tensor in params.all_tensors():
-            assert np.allclose(batched[tensor.name], tensor.grad, rtol=0, atol=1e-12), \
-                tensor.name
+            # the batch writes its mean gradient
+            assert np.allclose(batched[tensor.name], summed[tensor.name] / len(batch),
+                               rtol=0, atol=1e-12), tensor.name
         assert np.abs(batched["re_ctx_w"]).max() > 0
         assert np.abs(batched["transitions"]).max() > 0 or output_layer == "softmax"
+
+    @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
+    def test_no_gradient_survives_into_the_next_batch(self, output_layer):
+        params, train_q, *_ = build(output_layer=output_layer)
+        fresh, *_ = build(output_layer=output_layer)
+        first, second = train_q[:4], train_q[4:9]
+        assert not {q.sentence_id for q in first} & {q.sentence_id for q in second}
+        query_loss_and_backward(first, params)
+        for tensor in params.trainable_tensors():
+            assert np.abs(tensor.grad).max() > 0, tensor.name
+        query_loss_and_backward(second, params)
+        query_loss_and_backward(second, fresh)
+        for tensor, reference in zip(params.all_tensors(), fresh.all_tensors()):
+            assert np.array_equal(tensor.grad, reference.grad), tensor.name
+
+
+class TestAllocation:
+    def test_training_step_allocates_under_half_the_largest_tensor(self):
+        """A warmed s2-size float32 step (loss, backward, SGD) writes the
+        gradients into their buffers: no temporary near a weight matrix's
+        size, and no pass that copies a whole tensor."""
+        sentences = synth.generate(synth.default_grammar(seed=3), 60)
+        queries = subsample_negatives(gen_setup2(sentences)[0], 0.3, (13, 3, 0))
+        hyper = HyperParams.defaults_for(2, "crf")
+        table = random_embeddings(corpus_vocabulary(sentences), hyper.emb_dim,
+                                  np.random.default_rng(1))
+        params = init_params(hyper, LabelSpace(), table, seed=13)
+        order = np.random.default_rng(0).permutation(len(queries))
+        first, second = ([queries[i] for i in order[start : start + 10]] for start in (0, 10))
+        query_loss_and_backward(first, params)
+        sgd_step(params, lr=0.1, l2=1e-3)
+        tracemalloc.start()
+        try:
+            query_loss_and_backward(second, params)
+            sgd_step(params, lr=0.1, l2=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(tensor.value.nbytes for tensor in params.all_tensors())
+        assert largest == params["re_ctx_w"].value.nbytes
+        assert peak < largest / 2, (peak, largest)
 
 
 class TestTrainLoop:
@@ -141,6 +191,28 @@ class TestTrainLoop:
                                       "non-finite gradient in tensor ec_out")
         for tensor in params.all_tensors():
             assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
+
+    def test_failed_step_saves_the_parameters_from_before_it(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, _ = build(n_sentences=20)
+        steps, before = [], {}
+        real_step = training.sgd_step
+
+        def poisoning_step(params, lr, l2):
+            steps.append(lr)
+            if len(steps) == 3:
+                params["ec_out"].grad[0, 0] = np.inf
+                before.update({t.name: t.value.copy() for t in params.all_tensors()})
+            real_step(params, lr, l2)
+
+        monkeypatch.setattr(training, "sgd_step", poisoning_step)
+        with pytest.raises(RuntimeError, match="^epoch 1, batch 3 "):
+            train_loop(params, train_q, dev_q, TrainConfig(max_epochs=1, seed=1, batch_size=4),
+                       out_dir=tmp_path)
+        saved, meta = load_checkpoint(tmp_path / "final")
+        assert meta["extra"] == {"epoch": 1, "batch": 3}
+        for tensor in saved.all_tensors():
+            assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
+        assert not (tmp_path / "best").exists()
 
     def test_empty_train_set_is_config_error(self):
         params, *_ = build()
