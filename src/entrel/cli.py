@@ -72,6 +72,10 @@ def cmd_convert(args) -> int:
         if label == NO_RELATION:
             continue
         print(f"relations[{label}]: {relation_counts.get(label, 0)}")
+    several = sum(n > 1 for sentence in sentences
+                  for n in Counter(frozenset((rel.head, rel.tail))
+                                   for rel in sentence.relations).values())
+    print(f"pairs with several relations: {several}")
     for setup in (1, 2, 3):
         queries = _generate_queries(sentences, setup)
         print(f"queries[setup{setup}]: {len(queries)}")

@@ -156,6 +156,23 @@ class Sentence:
         return self
 
 
+def related_pairs(sentence: Sentence) -> dict:
+    """The gold relation of each related entity pair.
+
+    Maps (first span, second span), in textual order, to (label, inverse),
+    where inverse means the annotated head is the later span. Where several
+    relations share a pair, the canonically first label (RE_LABELS order)
+    wins, together with that relation's direction.
+    """
+    pairs = {}
+    for rel in sentence.relations:
+        head, tail = sentence.entities[rel.head].span, sentence.entities[rel.tail].span
+        pair, inverse = ((head, tail), False) if head < tail else ((tail, head), True)
+        if pair not in pairs or RE_LABELS.index(rel.type) < RE_LABELS.index(pairs[pair][0]):
+            pairs[pair] = (rel.type, inverse)
+    return pairs
+
+
 @dataclass(frozen=True)
 class ColumnMap:
     """Which tab-separated columns carry what in the raw corpus file."""

@@ -5,13 +5,18 @@ F1 per class is computed from aligned prediction/gold decision lists.
 Macros average the per-class F1 of the four entity classes (O excluded) and
 of the five relation classes (N excluded); classes that never occur as
 prediction or gold are reported as absent and excluded from the macro.
+
+Entity decisions come from one vote pass over the queries: each (sentence,
+span) gets its gold label, its votes and their majority. Gold relations come
+from the queries in setups 1 and 2, and from corpus.related_pairs in setup
+3, the rule the queries' gold labels were generated with.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 
 from entrel.analysis import DisagreementStats, disagreement_report
-from entrel.corpus import NO_RELATION, LabelSpace, Sentence
+from entrel.corpus import NO_RELATION, LabelSpace, related_pairs
 
 
 @dataclass
@@ -101,32 +106,22 @@ def majority_vote(votes, label_space: LabelSpace | None = None) -> str:
     return min(counts, key=lambda label: (-counts[label], ls.unified(label)))
 
 
-@dataclass
-class VoteGroup:
-    gold: str
-    votes: list = field(default_factory=list)
-
-
-def assemble_votes(queries, predictions, label_space: LabelSpace):
-    """Group per-query entity predictions by (sentence, span).
-
-    Returns (vote groups keyed by (sentence_id, span), relation decisions as
-    a list of (key, gold, predicted label)).
-    """
+def _entity_votes(queries, predictions, label_space: LabelSpace):
+    """One entry per (sentence_id, span) that some query holds: (gold label,
+    majority label, votes), the votes being the labels every query holding
+    the span predicted for it, in query order."""
     ls = label_space
-    groups = {}
-    relations = []
-    for query, pred in zip(queries, predictions):
-        t1, r, t2 = pred
+    votes = {}
+    for query, (t1, _, t2) in zip(queries, predictions):
         for span, gold, idx in ((query.span_i, query.gold_t1, t1),
                                 (query.span_j, query.gold_t2, t2)):
-            key = (query.sentence_id, span)
-            group = groups.setdefault(key, VoteGroup(gold))
-            group.votes.append(ls.label_of(idx))
-        relations.append(
-            ((query.sentence_id, query.span_i, query.span_j), query.gold_rel, ls.label_of(r))
-        )
-    return groups, relations
+            votes.setdefault((query.sentence_id, span), (gold, []))[1].append(ls.label_of(idx))
+    return {key: (gold, majority_vote(labels, ls), labels)
+            for key, (gold, labels) in votes.items()}
+
+
+def _disagreement(voted):
+    return disagreement_report([(majority, labels) for _, majority, labels in voted.values()])
 
 
 def _report_from_decisions(ec_decisions, re_decisions, ls, omit_other, diagnostics):
@@ -151,17 +146,12 @@ def score_paired(queries, predictions, label_space: LabelSpace | None = None,
                  omit_other: bool = False) -> MetricsReport:
     """Setup 1/2 scoring: majority-voted entity decisions, per-pair relations."""
     ls = label_space or LabelSpace()
-    groups, relations = assemble_votes(queries, predictions, ls)
-    ec_decisions = []
-    voted = []
-    for group in groups.values():
-        majority = majority_vote(group.votes, ls)
-        voted.append((majority, group.votes))
-        ec_decisions.append((majority, group.gold))
-    re_decisions = [(pred, gold) for _, gold, pred in relations]
-    return _report_from_decisions(
-        ec_decisions, re_decisions, ls, omit_other, disagreement_report(voted)
-    )
+    voted = _entity_votes(queries, predictions, ls)
+    ec_decisions = [(majority, gold) for gold, majority, _ in voted.values()]
+    re_decisions = [(ls.label_of(pred[1]), query.gold_rel)
+                    for query, pred in zip(queries, predictions)]
+    return _report_from_decisions(ec_decisions, re_decisions, ls, omit_other,
+                                  _disagreement(voted))
 
 
 @dataclass
@@ -171,24 +161,6 @@ class PredictedTable:
     sentence_id: str
     ec_by_token: dict  # token index -> majority-voted label
     rel_by_cell: dict  # (i, j) token pair, i < j -> relation label (may be N)
-
-
-def assemble_tables(queries, predictions, label_space: LabelSpace):
-    """Build per-sentence predicted tables plus vote groups from setup-3 queries."""
-    ls = label_space
-    groups, _ = assemble_votes(queries, predictions, ls)
-    tables = {}
-    for query, pred in zip(queries, predictions):
-        table = tables.setdefault(
-            query.sentence_id, PredictedTable(query.sentence_id, {}, {})
-        )
-        table.rel_by_cell[(query.span_i[0], query.span_j[0])] = ls.label_of(pred[1])
-    voted = {}
-    for (sid, span), group in groups.items():
-        majority = majority_vote(group.votes, ls)
-        voted[(sid, span)] = (majority, group.votes)
-        tables.setdefault(sid, PredictedTable(sid, {}, {})).ec_by_token[span[0]] = majority
-    return tables, voted
 
 
 def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
@@ -201,6 +173,9 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
     under no gold pair is one false positive for its label. Gold entities
     are scored the same way over their token cells; off-entity tokens with
     a non-O vote are one false positive each.
+
+    The gold pairs and their labels are corpus.related_pairs of each
+    sentence, the rule querygen labels the queries' cells with.
     """
     ls = label_space or LabelSpace()
     ec_decisions = []
@@ -227,27 +202,23 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
             if t not in covered and label != "O":
                 ec_decisions.append((label, "O"))
         # relation decisions
-        spans = [e.span for e in sentence.entities]
-        cell_to_pair = {}
-        gold_pairs = {}
-        for rel_idx, rel in enumerate(sentence.relations):
-            first, second = sorted([spans[rel.head], spans[rel.tail]])
-            key = (sentence.id, first, second)
-            gold_pairs[key] = rel.type
-            for a in range(first[0], first[1]):
-                for b in range(second[0], second[1]):
-                    cell_to_pair[(a, b)] = key
-        under = {key: [] for key in gold_pairs}
+        pairs = related_pairs(sentence)
+        pair_of_cell = {}
+        for first, second in pairs:
+            for a in range(*first):
+                for b in range(*second):
+                    pair_of_cell[(a, b)] = (first, second)
+        under = {pair: [] for pair in pairs}
         for cell, label in sorted(table.rel_by_cell.items()):
             if label == NO_RELATION:
                 continue
-            key = cell_to_pair.get(cell)
-            if key is None:
+            pair = pair_of_cell.get(cell)
+            if pair is None:
                 re_decisions.append((label, NO_RELATION))
             else:
-                under[key].append(label)
-        for key, gold_label in gold_pairs.items():
-            labels = under[key]
+                under[pair].append(label)
+        for pair, (gold_label, _) in pairs.items():
+            labels = under[pair]
             if gold_label in labels:
                 re_decisions.append((gold_label, gold_label))
             elif labels:
@@ -266,9 +237,15 @@ def score_queries(queries, predictions, setup: int, label_space: LabelSpace | No
     if setup == 3:
         if sentences is None:
             sentences = list({q.sentence_id: q.sentence for q in queries}.values())
-        tables, voted = assemble_tables(queries, predictions, ls)
-        return score_setup3(tables, sentences, ls, omit_other,
-                            disagreement_report(list(voted.values())))
+        voted = _entity_votes(queries, predictions, ls)
+        tables = {}
+        for query, pred in zip(queries, predictions):
+            table = tables.setdefault(query.sentence_id,
+                                      PredictedTable(query.sentence_id, {}, {}))
+            table.rel_by_cell[(query.span_i[0], query.span_j[0])] = ls.label_of(pred[1])
+        for (sid, span), (_, majority, _) in voted.items():
+            tables[sid].ec_by_token[span[0]] = majority
+        return score_setup3(tables, sentences, ls, omit_other, _disagreement(voted))
     raise ValueError(f"unknown setup {setup}")
 
 

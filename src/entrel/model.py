@@ -492,7 +492,7 @@ def backward_query(grad_d, cache, params: ModelParams):
     transitions, whose gradient the loss gives, replacing what the buffers
     held."""
     if cache is None:
-        raise RuntimeError("backward_query called before forward_query")
+        raise RuntimeError("backward_query called before forward_sentences")
     pairs = cache["pairs"]
     h_ec, h_re = cache["h"]
     # positions 0 and 2 score the pairs' first and second spans, in pairs' order

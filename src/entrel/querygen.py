@@ -1,12 +1,23 @@
 """Turn sentences into model queries for the three experimental setups.
 
-Setup 1 pairs gold named entities. Setup 2 fills a table whose rows are all
-tokens with gold multi-token entities merged into single rows. Setup 3
-ignores entity boundaries entirely (one row per token).
+All three setups fill one entity-relation table per sentence (Miwa & Sasaki,
+2014); only the row layout differs:
 
-Queries keep their spans in textual order; when the annotated relation's
-head is the later span, the query carries inverse=True so direction
-survives aggregation.
+- setup 1: one row per gold named entity (type != O);
+- setup 2: all tokens, with each gold entity merged into one row;
+- setup 3: one row per token, ignoring entity boundaries.
+
+Each cell above the diagonal is one query over its two rows, in textual
+order. A row is labelled with the type of the gold entity that holds it (O
+if none). A cell's gold relation is that of the entity pair holding its two
+rows, as corpus.related_pairs decides it: where several relations share a
+pair, the canonically first label wins, together with its direction. When
+the annotated head is the later span, the query carries inverse=True so
+direction survives aggregation.
+
+gen_setup1 builds no table and returns the queries alone. gen_setup2/3
+still return (queries, tables), because
+perfbench/bench_workloads.py::generate_queries indexes [0].
 """
 
 import json
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entrel.corpus import NO_RELATION, LabelSpace, Sentence
+from entrel.corpus import NO_RELATION, Sentence, related_pairs
 
 
 class QueryError(ValueError):
@@ -62,157 +73,77 @@ def check_spans(n_tokens, span_i, span_j):
         raise QueryError(f"spans must be ordered and non-overlapping: {span_i}, {span_j}")
 
 
-def _relation_lookup(sentence: Sentence, label_space: LabelSpace):
-    """Map ordered entity-index pairs to (label, inverse): textual order wins."""
-    spans = [e.span for e in sentence.entities]
-    best = {}
-    for rel in sentence.relations:
-        head_span, tail_span = spans[rel.head], spans[rel.tail]
-        if head_span < tail_span:
-            key, inverse = (rel.head, rel.tail), False
-        else:
-            key, inverse = (rel.tail, rel.head), True
-        rank = label_space.re_labels.index(rel.type)
-        # at most one relation per pair in the data; if duplicated, keep the
-        # canonically first label for determinism
-        if key not in best or rank < best[key][0]:
-            best[key] = (rank, rel.type, inverse)
-    return {key: (label, inverse) for key, (_, label, inverse) in best.items()}
+def _named_rows(sentence: Sentence):
+    """Setup 1: one row per gold named entity (type != O)."""
+    return sorted(e.span for e in sentence.entities if e.type != "O")
+
+
+def _merged_rows(sentence: Sentence):
+    """Setup 2: all tokens, with each gold entity merged into one row."""
+    ends = {e.start: e.end for e in sentence.entities}
+    rows, pos = [], 0
+    while pos < len(sentence.tokens):
+        end = ends.get(pos, pos + 1)
+        rows.append((pos, end))
+        pos = end
+    return rows
+
+
+def _token_rows(sentence: Sentence):
+    """Setup 3: one row per token."""
+    return [(t, t + 1) for t in range(len(sentence.tokens))]
+
+
+def _fill_tables(sentences, setup, row_layout):
+    """Per sentence: the sentence, the rows row_layout gives it, their labels
+    and one query per cell above the diagonal, in row order.
+
+    A row is labelled with the type of the entity that holds it (O if none);
+    a related entity pair labels every row pair inside its two entities.
+    """
+    for sentence in sentences:
+        rows = row_layout(sentence)
+        owner = {t: e for e in sentence.entities for t in range(e.start, e.end)}
+        held_by = [owner.get(start) for start, _ in rows]
+        spans = [None if e is None else e.span for e in held_by]
+        labels = ["O" if e is None else e.type for e in held_by]
+        pairs = related_pairs(sentence)
+        queries = []
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                rel, inverse = pairs.get((spans[i], spans[j]), (NO_RELATION, False))
+                queries.append(Query(sentence, rows[i], rows[j], labels[i], rel, labels[j],
+                                     setup, inverse))
+        yield sentence, rows, labels, queries
+
+
+def _queries_and_tables(sentences, setup, row_layout):
+    """All queries, and the gold TableSpec of each sentence by id."""
+    all_queries = []
+    tables = {}
+    for sentence, rows, labels, queries in _fill_tables(sentences, setup, row_layout):
+        row_of = {span: k for k, span in enumerate(rows)}
+        gold = {(k, k): label for k, label in enumerate(labels)}
+        gold.update(((row_of[q.span_i], row_of[q.span_j]), q.gold_rel) for q in queries)
+        tables[sentence.id] = TableSpec(sentence.id, rows, gold)
+        all_queries.extend(queries)
+    return all_queries, tables
 
 
 def gen_setup1(sentences):
     """One query per ordered pair of gold named entities (type != O)."""
-    ls = LabelSpace()
-    queries = []
-    for sentence in sentences:
-        named = [
-            (idx, ent) for idx, ent in enumerate(sentence.entities) if ent.type != "O"
-        ]
-        named.sort(key=lambda pair: pair[1].span)
-        rel_by_pair = _relation_lookup(sentence, ls)
-        for a in range(len(named)):
-            for b in range(a + 1, len(named)):
-                idx_a, ent_a = named[a]
-                idx_b, ent_b = named[b]
-                label, inverse = rel_by_pair.get((idx_a, idx_b), (NO_RELATION, False))
-                queries.append(
-                    Query(
-                        sentence=sentence,
-                        span_i=ent_a.span,
-                        span_j=ent_b.span,
-                        gold_t1=ent_a.type,
-                        gold_rel=label,
-                        gold_t2=ent_b.type,
-                        setup=1,
-                        inverse=inverse,
-                    )
-                )
-    return queries
-
-
-def _merged_rows(sentence: Sentence):
-    """Row spans: all tokens, with gold entity spans merged into one row."""
-    spans = sorted(e.span for e in sentence.entities)
-    types = {e.span: e.type for e in sentence.entities}
-    rows, labels = [], []
-    pos = 0
-    span_iter = iter(spans)
-    nxt = next(span_iter, None)
-    while pos < len(sentence.tokens):
-        if nxt is not None and pos == nxt[0]:
-            rows.append(nxt)
-            labels.append(types[nxt])
-            pos = nxt[1]
-            nxt = next(span_iter, None)
-        else:
-            rows.append((pos, pos + 1))
-            labels.append("O")
-            pos += 1
-    return rows, labels
-
-
-def _token_rows(sentence: Sentence):
-    """Row spans for setup 3: one row per token, labels from covering entity."""
-    labels = ["O"] * len(sentence.tokens)
-    for ent in sentence.entities:
-        for t in range(ent.start, ent.end):
-            labels[t] = ent.type
-    rows = [(t, t + 1) for t in range(len(sentence.tokens))]
-    return rows, labels
-
-
-def _table_and_queries(sentence, rows, labels, setup, cell_relations, inverse_cells):
-    gold = {}
-    for i, label in enumerate(labels):
-        gold[(i, i)] = label
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            gold[(i, j)] = NO_RELATION
-    gold.update(cell_relations)
-    table = TableSpec(sentence.id, rows, gold)
-    queries = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            queries.append(
-                Query(
-                    sentence=sentence,
-                    span_i=rows[i],
-                    span_j=rows[j],
-                    gold_t1=labels[i],
-                    gold_rel=gold[(i, j)],
-                    gold_t2=labels[j],
-                    setup=setup,
-                    inverse=(i, j) in inverse_cells,
-                )
-            )
-    return table, queries
+    return [q for *_, queries in _fill_tables(sentences, 1, _named_rows) for q in queries]
 
 
 def gen_setup2(sentences):
     """Table filling over merged entity rows; one query per off-diagonal cell."""
-    all_queries = []
-    tables = {}
-    for sentence in sentences:
-        rows, labels = _merged_rows(sentence)
-        row_of_span = {span: idx for idx, span in enumerate(rows)}
-        cell_relations = {}
-        inverse_cells = set()
-        for rel in sentence.relations:
-            ra = row_of_span[sentence.entities[rel.head].span]
-            rb = row_of_span[sentence.entities[rel.tail].span]
-            cell = (min(ra, rb), max(ra, rb))
-            cell_relations[cell] = rel.type
-            if ra > rb:
-                inverse_cells.add(cell)
-        table, queries = _table_and_queries(sentence, rows, labels, 2, cell_relations, inverse_cells)
-        tables[sentence.id] = table
-        all_queries.extend(queries)
-    return all_queries, tables
+    return _queries_and_tables(sentences, 2, _merged_rows)
 
 
 def gen_setup3(sentences):
     """Table filling over single tokens; a relation labels every cell of the
     (head tokens x tail tokens) block."""
-    all_queries = []
-    tables = {}
-    for sentence in sentences:
-        rows, labels = _token_rows(sentence)
-        cell_relations = {}
-        inverse_cells = set()
-        for rel in sentence.relations:
-            head_span = sentence.entities[rel.head].span
-            tail_span = sentence.entities[rel.tail].span
-            inverse = head_span > tail_span
-            first, second = sorted([head_span, tail_span])
-            for a in range(first[0], first[1]):
-                for b in range(second[0], second[1]):
-                    cell_relations[(a, b)] = rel.type
-                    if inverse:
-                        inverse_cells.add((a, b))
-        table, queries = _table_and_queries(sentence, rows, labels, 3, cell_relations, inverse_cells)
-        tables[sentence.id] = table
-        all_queries.extend(queries)
-    return all_queries, tables
+    return _queries_and_tables(sentences, 3, _token_rows)
 
 
 def subsample_negatives(queries, keep_prob: float, seed: int):

@@ -78,6 +78,8 @@ def query_loss_and_backward(queries, params: ModelParams) -> float:
     tensor's buffer, replacing what it held: the 1/B scale applies to the
     score and transition gradients before the backward, and no buffer needs
     clearing first. Returns the summed loss."""
+    if not queries:
+        raise ValueError("query_loss_and_backward: empty batch (no queries)")
     (losses, grad_d, grad_q), cache = _batch_nll(queries, params)
     scale = 1.0 / len(queries)
     grad_d *= scale

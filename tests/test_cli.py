@@ -58,6 +58,39 @@ def test_convert(tmp_path, capsys):
     assert len(sentence.tokens) == 14 and len(sentence.relations) == 1
     out = capsys.readouterr().out
     assert "relations[Live_in]: 1" in out and "queries[setup1]: 3" in out
+    assert "pairs with several relations: 0" in out
+
+
+def report_rows(text):
+    """Row label -> printed value of a format_report table."""
+    return dict(line.rsplit(None, 1) for line in text.splitlines()
+                if line and not line.startswith(("disagreement", " ")))
+
+
+@pytest.mark.parametrize("setup", [1, 2, 3])
+def test_oracle_eval_scores_100(corpus, checkpoint, capsys, setup):
+    assert run("eval", "--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl",
+               "--setup", setup, "--oracle") == 0
+    assert report_rows(capsys.readouterr().out)["Avg EC+RE"] == "100.00"
+
+
+def test_oracle_eval_of_a_pair_with_two_relations_agrees_across_setups(checkpoint, tmp_path,
+                                                                       capsys):
+    # two relation lines on one row pair; Work_for is canonically first
+    raw = RAW_SENTENCE.replace("0\t7\tLive_in", "7\t0\tWork_for\n0\t7\tLive_in")
+    (tmp_path / "raw.corp").write_text(raw)
+    assert run("convert", "--input", tmp_path / "raw.corp", "--output", tmp_path / "c.jsonl") == 0
+    assert "pairs with several relations: 1" in capsys.readouterr().out
+    relation_rows = []
+    for setup in (1, 2, 3):
+        assert run("eval", "--checkpoint", checkpoint, "--corpus", tmp_path / "c.jsonl",
+                   "--setup", setup, "--oracle") == 0
+        rows = report_rows(capsys.readouterr().out)
+        assert rows["Avg EC+RE"] == "100.00", setup
+        relation_rows.append({label: rows[label] for label in
+                              ("Located_in", "Work_for", "OrgBased_in", "Live_in", "Kill")})
+    assert relation_rows[0]["Work_for"] == "100.00"
+    assert relation_rows[0] == relation_rows[1] == relation_rows[2]
 
 
 def test_train_writes_checkpoints_and_log(corpus, checkpoint):

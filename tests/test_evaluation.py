@@ -10,8 +10,6 @@ from entrel.corpus import NO_RELATION, RE_LABELS, LabelSpace, Sentence, EntityMe
 from entrel.evaluation import (
     ClassCounts,
     PredictedTable,
-    assemble_tables,
-    assemble_votes,
     class_counts,
     format_report,
     macro_and_avg,

@@ -1,7 +1,7 @@
 import pytest
 
 from entrel import synth
-from entrel.corpus import EntityMention, RelationAnnotation, Sentence
+from entrel.corpus import NO_RELATION, EntityMention, RelationAnnotation, Sentence
 from entrel.querygen import (
     ConfigError,
     QueryError,
@@ -158,6 +158,76 @@ class TestSetup3:
         q2, _ = gen_setup2(sentences)
         q3, _ = gen_setup3(sentences)
         assert len(q3) >= len(q2)
+
+
+# two relations on one pair: Work_for is canonically first, so it wins with
+# its own direction (head Peop, the earlier span) in either listing order
+WORK_LIVE = [RelationAnnotation(0, 1, "Work_for"), RelationAnnotation(1, 0, "Live_in")]
+
+
+def two_relation_sentence(sid, relations):
+    return Sentence(sid, ["per1", "works", "for", "the", "org", "one"],
+                    [EntityMention(0, 1, "Peop"), EntityMention(4, 6, "Org")], relations)
+
+
+def hand_built_corpus():
+    return [
+        two_relation_sentence("listed", WORK_LIVE),
+        two_relation_sentence("reversed", WORK_LIVE[::-1]),
+        Sentence(  # relations touching an O-typed entity
+            "o-rel",
+            ["per1", "x", "some", "thing", "y", "loc1"],
+            [EntityMention(0, 1, "Peop"), EntityMention(2, 4, "O"), EntityMention(5, 6, "Loc")],
+            [RelationAnnotation(0, 2, "Live_in"), RelationAnnotation(1, 0, "Kill")],
+        ),
+    ]
+
+
+RULE_CORPORA = {
+    "default": lambda: synth.generate(synth.default_grammar(seed=11), 150),
+    "ambiguous": lambda: synth.generate(synth.ambiguous_grammar(seed=11), 150),
+    "hand-built": hand_built_corpus,
+}
+
+
+def cells(queries):
+    return [(q.sentence_id, q.span_i, q.span_j, q.gold_t1, q.gold_rel, q.gold_t2, q.inverse)
+            for q in queries]
+
+
+class TestOnePairRule:
+    @pytest.mark.parametrize("corpus", sorted(RULE_CORPORA))
+    def test_setups_agree_on_every_pair(self, corpus):
+        sentences = RULE_CORPORA[corpus]()
+        assert len({s.id for s in sentences}) == len(sentences)
+        q2, _ = gen_setup2(sentences)
+        named = {(s.id, e.span) for s in sentences for e in s.entities if e.type != "O"}
+        between_named = [q for q in q2 if (q.sentence_id, q.span_i) in named
+                         and (q.sentence_id, q.span_j) in named]
+        assert cells(gen_setup1(sentences)) == cells(between_named)
+        # setup-2 rows are whole entities: each pair's label and direction
+        pair = {(q.sentence_id, q.span_i, q.span_j): (q.gold_rel, q.inverse) for q in q2}
+        holder = {s.id: {t: e.span for e in s.entities for t in range(e.start, e.end)}
+                  for s in sentences}
+        related = 0
+        for q in gen_setup3(sentences)[0]:
+            held = holder[q.sentence_id]
+            key = (q.sentence_id, held.get(q.span_i[0]), held.get(q.span_j[0]))
+            assert (q.gold_rel, q.inverse) == pair.get(key, (NO_RELATION, False)), q
+            related += q.gold_rel != NO_RELATION
+        assert related > 0
+
+    def test_canonically_first_label_wins_with_its_direction(self):
+        listed, reversed_, o_rel = hand_built_corpus()
+        for sentence in (listed, reversed_):
+            (query,) = gen_setup1([sentence])
+            assert (query.gold_rel, query.inverse) == ("Work_for", False)
+        # the O-typed entity has no setup-1 row, but its relations label setup 2
+        assert [q.span_j for q in gen_setup1([o_rel])] == [(5, 6)]
+        related = {(q.span_i, q.span_j): (q.gold_rel, q.inverse)
+                   for q in gen_setup2([o_rel])[0] if q.gold_rel != NO_RELATION}
+        assert related == {((0, 1), (5, 6)): ("Live_in", False),
+                           ((0, 1), (2, 4)): ("Kill", True)}
 
 
 class TestSubsampling:

@@ -138,6 +138,16 @@ class TestBatchedLossAndBackward:
         for tensor, reference in zip(params.all_tensors(), fresh.all_tensors()):
             assert np.array_equal(tensor.grad, reference.grad), tensor.name
 
+    def test_empty_batch_is_named_before_the_encoder_runs(self, monkeypatch):
+        params, *_ = build()
+
+        def encoder_ran(*args, **kwargs):
+            raise AssertionError("the encoder ran on an empty batch")
+
+        monkeypatch.setattr(training, "forward_sentences", encoder_ran)
+        with pytest.raises(ValueError, match="empty batch"):
+            query_loss_and_backward([], params)
+
 
 class TestAllocation:
     def test_training_step_allocates_under_half_the_largest_tensor(self):
