@@ -71,6 +71,11 @@ class LabelSpace:
     def size_with_tags(self) -> int:
         return self.n_classes + 2
 
+    @property
+    def class_labels(self) -> tuple:
+        """The label of each class, by unified index."""
+        return self.ec_labels + self.re_labels
+
     def unified(self, label: str) -> int:
         if label in self.ec_labels:
             return self.ec_labels.index(label)

@@ -123,4 +123,5 @@ def viterbi(d: np.ndarray, q: np.ndarray, allowed: np.ndarray | None = None) -> 
     if allowed is not None:
         d = apply_position_mask(d, allowed)
     index = np.argmax(_path_scores(d, q).reshape(len(d), -1), axis=1)
-    return np.stack(np.unravel_index(index, (n,) * SEQ_LEN), axis=1)
+    # the flat index of triple (a, b, c) is a * N^2 + b * N + c
+    return index[:, None] // np.array([n * n, n, 1]) % n

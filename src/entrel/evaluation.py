@@ -62,17 +62,21 @@ class MetricsReport:
         }
 
 
-def class_counts(predictions, golds, cls) -> ClassCounts:
+def class_counts(predictions, golds, classes) -> dict:
+    """ClassCounts of each of ``classes`` over aligned prediction/gold lists,
+    counted in one pass; labels outside ``classes`` count for none."""
     if len(predictions) != len(golds):
         raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
-    counts = ClassCounts()
+    counts = {cls: ClassCounts() for cls in classes}
     for pred, gold in zip(predictions, golds):
-        if pred == cls and gold == cls:
-            counts.tp += 1
-        elif pred == cls:
-            counts.fp += 1
-        elif gold == cls:
-            counts.fn += 1
+        if pred == gold:
+            if pred in counts:
+                counts[pred].tp += 1
+        else:
+            if pred in counts:
+                counts[pred].fp += 1
+            if gold in counts:
+                counts[gold].fn += 1
     return counts
 
 
@@ -101,6 +105,8 @@ def majority_vote(votes, label_space: LabelSpace | None = None) -> str:
     """Most frequent label; ties break by canonical label order."""
     if not votes:
         raise ValueError("majority_vote needs at least one vote")
+    if len(votes) == 1:
+        return votes[0]
     ls = label_space or LabelSpace()
     counts = Counter(votes)
     return min(counts, key=lambda label: (-counts[label], ls.unified(label)))
@@ -111,11 +117,12 @@ def _entity_votes(queries, predictions, label_space: LabelSpace):
     majority label, votes), the votes being the labels every query holding
     the span predicted for it, in query order."""
     ls = label_space
+    names = ls.class_labels
     votes = {}
     for query, (t1, _, t2) in zip(queries, predictions):
         for span, gold, idx in ((query.span_i, query.gold_t1, t1),
                                 (query.span_j, query.gold_t2, t2)):
-            votes.setdefault((query.sentence_id, span), (gold, []))[1].append(ls.label_of(idx))
+            votes.setdefault((query.sentence_id, span), (gold, []))[1].append(names[idx])
     return {key: (gold, majority_vote(labels, ls), labels)
             for key, (gold, labels) in votes.items()}
 
@@ -125,19 +132,12 @@ def _disagreement(voted):
 
 
 def _report_from_decisions(ec_decisions, re_decisions, ls, omit_other, diagnostics):
+    re_classes = [cls for cls in ls.re_labels if cls != NO_RELATION]
     counts = {}
-    ec_f1 = {}
-    for cls in ls.ec_labels:
-        c = class_counts([p for p, _ in ec_decisions], [g for _, g in ec_decisions], cls)
-        counts[cls] = c
-        ec_f1[cls] = c.f1
-    re_f1 = {}
-    for cls in ls.re_labels:
-        if cls == NO_RELATION:
-            continue
-        c = class_counts([p for p, _ in re_decisions], [g for _, g in re_decisions], cls)
-        counts[cls] = c
-        re_f1[cls] = c.f1
+    for decisions, classes in ((ec_decisions, ls.ec_labels), (re_decisions, re_classes)):
+        counts.update(class_counts([p for p, _ in decisions], [g for _, g in decisions], classes))
+    ec_f1 = {cls: counts[cls].f1 for cls in ls.ec_labels}
+    re_f1 = {cls: counts[cls].f1 for cls in re_classes}
     avg_ec, avg_re, avg_both = macro_and_avg(ec_f1, re_f1, ls, omit_other)
     return MetricsReport(ec_f1, re_f1, avg_ec, avg_re, avg_both, counts, diagnostics)
 
@@ -148,7 +148,8 @@ def score_paired(queries, predictions, label_space: LabelSpace | None = None,
     ls = label_space or LabelSpace()
     voted = _entity_votes(queries, predictions, ls)
     ec_decisions = [(majority, gold) for gold, majority, _ in voted.values()]
-    re_decisions = [(ls.label_of(pred[1]), query.gold_rel)
+    names = ls.class_labels
+    re_decisions = [(names[pred[1]], query.gold_rel)
                     for query, pred in zip(queries, predictions)]
     return _report_from_decisions(ec_decisions, re_decisions, ls, omit_other,
                                   _disagreement(voted))
@@ -238,11 +239,12 @@ def score_queries(queries, predictions, setup: int, label_space: LabelSpace | No
         if sentences is None:
             sentences = list({q.sentence_id: q.sentence for q in queries}.values())
         voted = _entity_votes(queries, predictions, ls)
+        names = ls.class_labels
         tables = {}
         for query, pred in zip(queries, predictions):
             table = tables.setdefault(query.sentence_id,
                                       PredictedTable(query.sentence_id, {}, {}))
-            table.rel_by_cell[(query.span_i[0], query.span_j[0])] = ls.label_of(pred[1])
+            table.rel_by_cell[(query.span_i[0], query.span_j[0])] = names[pred[1]]
         for (sid, span), (_, majority, _) in voted.items():
             tables[sid].ec_by_token[span[0]] = majority
         return score_setup3(tables, sentences, ls, omit_other, _disagreement(voted))

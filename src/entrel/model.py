@@ -10,10 +10,14 @@ full unified label space.
 
 Every part is a prefix, a suffix or a span of the query's sentence, so a
 ``SentenceEncoding`` runs each CNN once over the sentence and pools each part
-from a row slice of that conv. Training packs all the sentences of a
-mini-batch into one encoding and runs each layer once for the batch
-(``forward_sentences``, ``backward_query``); ``predict_queries`` encodes
-each sentence once for all its queries and decodes them as one batch.
+from a row window of that conv. A window of at most k rows keeps all its
+rows, so it is copied into the pooled result with zero padding; longer
+windows are k-max pooled with one ``kmax_pool`` call per window length.
+Training packs all the sentences of a mini-batch into one encoding and runs
+each layer once for the batch (``forward_sentences``, ``backward_query``).
+``predict_queries`` packs sentences the same way, up to ``PACK_QUERIES``
+queries at a time, and decodes each pack as one batch; a one-sentence call
+is a pack of one.
 
 The backward writes each parameter's gradient buffer once per batch: weight
 and bias gradients go straight into their buffers as one product or sum, and
@@ -49,6 +53,11 @@ from entrel.kernels import (
 from entrel.querygen import Query, check_spans
 
 TASKS = ("ec", "re")
+# queries that predict_queries scores and decodes together. Larger packs save
+# per-call work, but a pack's RE input features and score cubes grow with it:
+# at the tuned setup-2/3 sizes a pack of 64 peaks near 4 MB, one of 256 near
+# 15 MB, for about 20% more throughput.
+PACK_QUERIES = 64
 # entity spans per task input: EC encodes one span, RE an ordered pair; each
 # span brings two context parts (left, right) and one entity part
 _TASK_SPANS = {"ec": 1, "re": 2}
@@ -128,6 +137,10 @@ class ModelParams:
         self.embeddings = embeddings
         self._tensors = tensors
         self._triples = {}
+        # the output chain's fixed parts, built once and shared read-only by
+        # every decode and loss call
+        self.position_mask = _read_only(label_space.position_mask())
+        self.zero_transitions = _read_only(np.zeros_like(tensors["transitions"].value))
 
     def __getitem__(self, name: str) -> ParamTensor:
         return self._tensors[name]
@@ -162,6 +175,11 @@ class ModelParams:
         """The one tuple this model hands out for a decoded triple, so that
         kept predictions share storage instead of holding a copy each."""
         return self._triples.setdefault(triple, triple)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def tensor_shapes(hyper: HyperParams, label_space: LabelSpace, n_emb_rows: int):
@@ -240,20 +258,32 @@ def _cnn_layout(n_tokens: int, parts, width: int):
 
 
 def _pool_windows(conv, windows, k):
-    """k-max pool each [start, stop) row window of conv, one kmax_pool call
-    per window length. Returns pooled [P, k, nk] and the selected conv rows
-    [P, k, nk] (-1 for zero-padded slots)."""
-    starts = np.array([start for start, _ in windows], dtype=np.intp)
-    lengths = np.array([stop - start for start, stop in windows], dtype=np.intp)
+    """k-max pool each [start, stop) row window of conv. Returns pooled
+    [P, k, nk] and the selected conv rows [P, k, nk] (-1 for zero-padded
+    slots).
+
+    A window of at most k rows keeps every row in order: it is copied, with
+    zeros and -1 in the slots past its rows. Longer windows are grouped by
+    length, one kmax_pool call per length.
+    """
     shape = (len(windows), k, conv.shape[1])
-    pooled = np.empty(shape, dtype=conv.dtype)
-    sel = np.empty(shape, dtype=np.intp)
-    for length in np.unique(lengths):
-        members = np.flatnonzero(lengths == length)
-        first = starts[members, None]
-        out, picked = kmax_pool(conv[first + np.arange(length)], k)
+    pooled = np.zeros(shape, dtype=conv.dtype)
+    sel = np.full(shape, -1, dtype=np.intp)
+    conv_rows = np.arange(len(conv))[:, None]
+    groups = {}
+    for index, (start, stop) in enumerate(windows):
+        if stop - start <= k:
+            pooled[index, : stop - start] = conv[start:stop]
+            sel[index, : stop - start] = conv_rows[start:stop]
+        else:
+            members, starts = groups.setdefault(stop - start, ([], []))
+            members.append(index)
+            starts.append(start)
+    for length, (members, starts) in groups.items():
+        rows = np.array(starts, dtype=np.intp)[:, None] + np.arange(length)
+        out, picked = kmax_pool(conv[rows], k)
         pooled[members] = out
-        sel[members] = np.where(picked >= 0, picked + first[:, None], -1)
+        sel[members] = picked + rows[:, :1, None]
     return pooled, sel
 
 
@@ -290,11 +320,11 @@ class _CnnPass:
         self.bias = params[f"{prefix}_bias"]
         emb = params["embeddings"].value
         positions, windows = _cnn_layout(len(ids), parts, width)
-        real = positions >= 0
-        self.row_ids = np.full(len(positions), -1, dtype=np.intp)
-        self.row_ids[real] = ids[positions[real]]
-        self.mat = np.zeros((len(positions), emb.shape[1]), dtype=emb.dtype)
-        self.mat[real] = emb[self.row_ids[real]]
+        padding = positions < 0
+        self.row_ids = np.where(padding, -1, ids[positions])
+        # row id -1 gathers the last embedding row; the padding rows are zeroed
+        self.mat = emb[self.row_ids]
+        self.mat[padding] = 0.0
         conv = conv1d(self.mat, self.filters.value, self.bias.value)
         _check_finite(conv, f"{_CNN_NAMES[prefix]} CNN output", params)
         self.conv_rows = conv.shape[0]
@@ -522,10 +552,9 @@ def output_chain(params: ModelParams, masked: bool = False):
     matrix, never the stored tensor, and always masked, so each position is
     normalized over its own task's label slice.
     """
-    ls = params.label_space
     if params.hyper.output_layer == "crf":
-        return params.transitions.value, ls.position_mask() if masked else None
-    return np.zeros_like(params.transitions.value), ls.position_mask()
+        return params.transitions.value, params.position_mask if masked else None
+    return params.zero_transitions, params.position_mask
 
 
 def decode_query(d, params: ModelParams, masked: bool = False):
@@ -541,17 +570,34 @@ def decode_query(d, params: ModelParams, masked: bool = False):
     return triples if d.ndim == 3 else triples[0]
 
 
+def _packs(groups):
+    """Runs of consecutive sentence groups of at most PACK_QUERIES queries
+    each; a sentence with more queries is a pack of its own."""
+    pack, size = [], 0
+    for members in groups:
+        if pack and size + len(members) > PACK_QUERIES:
+            yield pack
+            pack, size = [], 0
+        pack.append(members)
+        size += len(members)
+    if pack:
+        yield pack
+
+
 def predict_queries(queries, params: ModelParams, masked: bool = False):
     """Decode a batch of queries into unified (t1, r, t2) index triples.
 
-    Queries are grouped by sentence; each group is scored and decoded in one
-    go, so a query's prediction never depends on other sentences' queries
-    in the call.
+    Queries are grouped by sentence, and the sentences are packed: each pack
+    of at most PACK_QUERIES queries is scored by one forward_sentences call
+    and decoded as one batch. A query's prediction depends only on its own
+    sentence, so packing changes no pooled feature; a one-sentence call is a
+    pack of one.
     """
     preds = [None] * len(queries)
-    for members in sentence_groups(queries):
-        d, _ = forward_sentences([[queries[i] for i in members]], params)
-        for index, pred in zip(members, decode_query(d, params, masked)):
+    for pack in _packs(sentence_groups(queries)):
+        d, _ = forward_sentences([[queries[i] for i in members] for members in pack], params)
+        rows = (index for members in pack for index in members)
+        for index, pred in zip(rows, decode_query(d, params, masked)):
             preds[index] = pred
     return preds
 

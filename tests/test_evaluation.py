@@ -41,16 +41,16 @@ class TestF1:
         preds = ["A", "A", "A", "B"]
         golds = ["A", "A", "B", "A"]
         # TP=2, FP=1, FN=1 -> P=R=2/3 -> F1=2/3
-        assert class_counts(preds, golds, "A").f1 == pytest.approx(2 / 3, abs=1e-4)
+        assert class_counts(preds, golds, ["A"])["A"].f1 == pytest.approx(2 / 3, abs=1e-4)
 
     def test_perfect(self):
-        assert class_counts(["A", "B"], ["A", "B"], "A").f1 == 1.0
+        assert class_counts(["A", "B"], ["A", "B"], ["A"])["A"].f1 == 1.0
 
     def test_zero_tp_with_errors_is_zero(self):
-        assert class_counts(["B"], ["A"], "A").f1 == 0.0
+        assert class_counts(["B"], ["A"], ["A"])["A"].f1 == 0.0
 
     def test_absent_class_reported_absent(self):
-        assert class_counts(["B"], ["B"], "A").f1 is None
+        assert class_counts(["B"], ["B"], ["A"])["A"].f1 is None
 
     def test_against_counting_oracle(self):
         rng = np.random.default_rng(0)
@@ -58,8 +58,9 @@ class TestF1:
         for _ in range(30):
             preds = [labels[i] for i in rng.integers(0, 3, size=40)]
             golds = [labels[i] for i in rng.integers(0, 3, size=40)]
+            counts = class_counts(preds, golds, labels)
             for cls in labels:
-                assert class_counts(preds, golds, cls).f1 == counting_oracle(preds, golds, cls)
+                assert counts[cls].f1 == counting_oracle(preds, golds, cls)
 
     @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
     def test_symmetric_under_fp_fn_swap(self, tp, fp, fn):
@@ -205,11 +206,18 @@ def setup3_oracle(tables, sentences, ls):
             if t not in entity_tokens and label != "O":
                 per_class[label].fp += 1
         # --- relations ---
-        pair_cells = {}
+        # the documented pair rule: where several relations share a pair,
+        # the canonically first label (RE_LABELS order) is the pair's one
+        # gold relation; its direction does not enter the table scoring,
+        # whose cells run from the first span to the second in textual order
+        gold_of_pair = {}
         for rel in sent.relations:
-            spans = sorted([sent.entities[rel.head].span, sent.entities[rel.tail].span])
-            cells = set(itertools.product(range(*spans[0]), range(*spans[1])))
-            pair_cells[(spans[0], spans[1], rel.type)] = cells
+            pair = tuple(sorted([sent.entities[rel.head].span, sent.entities[rel.tail].span]))
+            if pair not in gold_of_pair or (RE_LABELS.index(rel.type)
+                                            < RE_LABELS.index(gold_of_pair[pair])):
+                gold_of_pair[pair] = rel.type
+        pair_cells = {(s1, s2, label): set(itertools.product(range(*s1), range(*s2)))
+                      for (s1, s2), label in gold_of_pair.items()}
         claimed = set().union(*pair_cells.values()) if pair_cells else set()
         for (s1, s2, gold_label), cells in pair_cells.items():
             labels = [table.rel_by_cell[c] for c in cells
@@ -275,23 +283,40 @@ class TestScoreSetup3:
         assert report.counts["Kill"].fp == 2
 
     def test_random_tables_match_enumeration_oracle(self, label_space):
+        """Random tables over synthetic sentences, and over a hand-built pair
+        that carries two relations, Work_for one way and Live_in the other,
+        with each relation label in turn on the pair's cell."""
         rng = np.random.default_rng(6)
         ls = label_space
         grammar = synth.default_grammar(seed=8)
         sentences = synth.generate(grammar, 100)
         labels = list(RE_LABELS)
+
+        def random_table(sent):
+            n = len(sent.tokens)
+            ec = {t: ls.ec_labels[rng.integers(0, 5)] for t in range(n)}
+            rel = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    # bias towards N so tables stay sparse
+                    rel[(i, j)] = labels[rng.integers(0, 6)] if rng.random() < 0.3 else "N"
+            return PredictedTable(sent.id, ec, rel)
+
+        inputs = []
         for batch in range(2):
-            tables = {}
-            for sent in sentences[batch * 50 : (batch + 1) * 50]:
-                n = len(sent.tokens)
-                ec = {t: ls.ec_labels[rng.integers(0, 5)] for t in range(n)}
-                rel = {}
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        # bias towards N so tables stay sparse
-                        rel[(i, j)] = labels[rng.integers(0, 6)] if rng.random() < 0.3 else "N"
-                tables[sent.id] = PredictedTable(sent.id, ec, rel)
             subset = sentences[batch * 50 : (batch + 1) * 50]
+            inputs.append(({sent.id: random_table(sent) for sent in subset}, subset))
+        shared = Sentence(
+            "w",
+            ["per1", "works", "for", "org1"],
+            [EntityMention(0, 1, "Peop"), EntityMention(3, 4, "Org")],
+            [RelationAnnotation(0, 1, "Work_for"), RelationAnnotation(1, 0, "Live_in")],
+        )
+        for label in labels:
+            table = random_table(shared)
+            table.rel_by_cell[(0, 3)] = label
+            inputs.append(({shared.id: table}, [shared]))
+        for tables, subset in inputs:
             report = score_setup3(tables, subset, ls)
             oracle = setup3_oracle(tables, subset, ls)
             for cls in ls.ec_labels + ls.re_labels:

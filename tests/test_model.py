@@ -1,11 +1,13 @@
 import functools
+import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entrel import crf, synth
+from entrel import crf, model, synth
 from entrel.corpus import (
     EntityMention,
     LabelSpace,
@@ -263,7 +265,10 @@ class TestSentenceEncoding:
         """Pooled parts and their gradients equal a separate zero-padded
         conv1d + kmax_pool per part, for spans and contexts of any length
         (empty and shorter than the filter width included), whether one
-        sentence is encoded or several are packed into one encoding."""
+        sentence is encoded or several are packed into one encoding. Each
+        part's selected rows are its own kmax_pool selection shifted to the
+        part's rows in the encoding's conv, which tied values in ``pooled``
+        could not show."""
         sentences = []
         for _ in range(data.draw(st.integers(1, 3), label="n_sentences")):
             n_tokens = data.draw(st.integers(1, 9), label="n_tokens")
@@ -298,16 +303,32 @@ class TestSentenceEncoding:
         for prefix, cnn, width in (("ctx", enc.ctx, ctx_width), ("ent", enc.ent, ent_width)):
             filters = params[f"{prefix}_filters"].value
             upstream = draw(cnn.pooled.shape)
-            # each sentence's parts, in the encoding's order
-            parts = [(tokens, part) for tokens, spans in sentences for s, e in spans
+            # each sentence's parts, in the encoding's order, with the
+            # sentence's first token in the packed sequence
+            offsets = np.cumsum([0] + [len(tokens) for tokens, _ in sentences])
+            parts = [(tokens, part, lo) for (tokens, spans), lo in zip(sentences, offsets)
+                     for s, e in spans
                      for part in (((0, s), (e, len(tokens))) if prefix == "ctx" else ((s, e),))]
             assert len(cnn.pooled) == len(parts)
-            for index, (tokens, (a, b)) in enumerate(parts):
+            # the first conv row of each part: a part at least `width` tokens
+            # long is a slice of the packed sequence's conv; a shorter one is a
+            # `width`-row zero-padded copy appended after the sequence
+            next_row = offsets[-1] if any(b - a >= width for _, (a, b), _ in parts) else 0
+            firsts = []
+            for _, (a, b), lo in parts:
+                if b - a >= width:
+                    firsts.append(lo + a)
+                else:
+                    firsts.append(next_row)
+                    next_row += width
+            for index, (tokens, (a, b), _) in enumerate(parts):
                 ids = [params.embeddings.lookup(tok) for tok in tokens[a:b]]
                 mat = embed_pad(ids, emb, width)
                 conv = conv1d(mat, filters, params[f"{prefix}_bias"].value)
                 pooled, sel = kmax_pool(conv, k)
                 assert same(cnn.pooled[index], pooled), (prefix, index, a, b)
+                shifted = np.where(sel >= 0, sel + firsts[index], -1)
+                assert np.array_equal(cnn.sel[index], shifted), (prefix, index, a, b)
                 grad_conv = kmax_pool_backward(upstream[index], sel, conv.shape[0])
                 grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, mat, filters)
                 expected[f"{prefix}_filters"] += grad_filters
@@ -367,18 +388,23 @@ def predict_world(output_layer):
 class TestPredictQueries:
     @settings(max_examples=30, deadline=None)
     @given(order=st.randoms(use_true_random=False), keep=st.floats(0.1, 1.0),
-           masked=st.booleans(), output_layer=st.sampled_from(["crf", "softmax"]))
-    def test_multi_sentence_call_equals_per_sentence_calls(self, order, keep, masked,
-                                                         output_layer):
-        params, queries = predict_world(output_layer)
-        subset = [q for q in queries if order.random() < keep] or [queries[0]]
-        order.shuffle(subset)
-        preds = predict_queries(subset, params, masked)
-        assert len(preds) == len(subset)
-        for sentence in {id(q.sentence): q.sentence for q in subset}.values():
-            members = [i for i, q in enumerate(subset) if q.sentence is sentence]
-            alone = predict_queries([subset[i] for i in members], params, masked)
-            assert [preds[i] for i in members] == alone
+           pack=st.none() | st.integers(1, 16))
+    def test_multi_sentence_call_equals_per_sentence_calls(self, order, keep, pack):
+        """A call over several sentences, packed PACK_QUERIES queries at a
+        time (or a drawn smaller budget, down to one query per pack), gives
+        each sentence the predictions of a call over that sentence alone:
+        both output layers, masked and unmasked."""
+        for output_layer, masked in itertools.product(["crf", "softmax"], [False, True]):
+            params, queries = predict_world(output_layer)
+            subset = [q for q in queries if order.random() < keep] or [queries[0]]
+            order.shuffle(subset)
+            with mock.patch.object(model, "PACK_QUERIES", pack or model.PACK_QUERIES):
+                preds = predict_queries(subset, params, masked)
+            assert len(preds) == len(subset)
+            for sentence in {id(q.sentence): q.sentence for q in subset}.values():
+                members = [i for i, q in enumerate(subset) if q.sentence is sentence]
+                alone = predict_queries([subset[i] for i in members], params, masked)
+                assert [preds[i] for i in members] == alone
 
     @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
     @pytest.mark.parametrize("masked", [False, True])
@@ -401,6 +427,20 @@ class TestPredictQueries:
     def test_empty_batch(self):
         params, _ = predict_world("crf")
         assert predict_queries([], params) == []
+
+    @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
+    def test_cached_chain_parts_are_read_only(self, output_layer):
+        """The position mask and the softmax's zero transitions are built
+        once per model and shared by every call, so no caller may write to
+        them."""
+        params, _ = predict_world(output_layer)
+        q, allowed = output_chain(params, masked=True)
+        assert np.array_equal(allowed, params.label_space.position_mask())
+        fixed = [allowed] if output_layer == "crf" else [allowed, q]
+        for array in fixed:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = not array[0, 0]
+        assert output_chain(params, masked=True)[1] is allowed
 
 
 class TestScoreTask:
