@@ -77,4 +77,4 @@ def disagreement_report(groups) -> DisagreementStats:
             min(fractions),
             statistics.median(fractions),
         )
-    return DisagreementStats(total, 0, 0.0 if total else 0.0, None, None, None)
+    return DisagreementStats(total, 0, 0.0, None, None, None)

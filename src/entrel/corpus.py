@@ -372,7 +372,11 @@ def write_canonical(path, sentences):
 
 
 def load_canonical(path):
+    """The sentences of a canonical JSONL corpus. A sentence id that repeats
+    an earlier one is a CorpusError naming both lines: evaluation keys votes
+    and tables by sentence id, so two sentences would merge."""
     sentences = []
+    first_line = {}  # sentence id -> the line of its record
     with open(path, "rb") as handle:
         for line_no, line in _text_lines(handle, path):
             line = line.strip()
@@ -382,7 +386,12 @@ def load_canonical(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"invalid JSON ({exc.msg})", path, line_no) from None
-            sentences.append(sentence_from_record(record, line_no, path))
+            sentence = sentence_from_record(record, line_no, path)
+            if sentence.id in first_line:
+                raise CorpusError(f"sentence id {sentence.id!r} repeats the one on line "
+                                  f"{first_line[sentence.id]}", path, line_no)
+            first_line[sentence.id] = line_no
+            sentences.append(sentence)
     return sentences
 
 

@@ -70,37 +70,48 @@ def conv1d_backward(grad_out: np.ndarray, seq: np.ndarray, filters: np.ndarray):
     return grad_seq, grad_filters, grad_bias
 
 
-def kmax_pool(seq: np.ndarray, k: int):
-    """Per-column k-max pooling preserving original sequence order.
+def kmax_pool(conv: np.ndarray, windows, k: int):
+    """Per-column k-max pooling of row windows, preserving row order.
 
-    seq is [rows, nk], or a batch [..., rows, nk] pooled item by item.
-    Returns (out [..., k, nk], sel [..., k, nk]) where sel holds the selected
-    row index per slot, or -1 for zero-padded slots (used when the input has
-    fewer than k rows). Ties select the earlier index.
+    conv is [rows, nk] and windows lists [start, stop) row ranges of it,
+    which may overlap. Returns (pooled [P, k, nk], sel [P, k, nk]): sel holds
+    the conv row selected for each slot, -1 for a zero-padded slot. A window
+    of at most k rows keeps every row, so it is copied, with zeros and -1 in
+    the slots past its rows. Longer windows are grouped by length and sorted
+    once per length; ties select the earlier row.
     """
     if k < 1:
         raise ValueError(f"kmax_pool: k must be >= 1, got {k}")
-    rows, nk = seq.shape[-2:]
-    if rows <= k:
-        out = np.zeros(seq.shape[:-2] + (k, nk), dtype=seq.dtype)
-        out[..., :rows, :] = seq
-        sel = np.full(out.shape, -1, dtype=np.intp)
-        sel[..., :rows, :] = np.arange(rows)[:, None]
-        return out, sel
-    # stable sort on negated values: equal values keep the earlier index
-    top = np.argsort(-seq, axis=-2, kind="stable")[..., :k, :]
-    sel = np.sort(top, axis=-2)
-    return np.take_along_axis(seq, sel, axis=-2), sel
+    shape = (len(windows), k, conv.shape[1])
+    pooled = np.zeros(shape, dtype=conv.dtype)
+    sel = np.full(shape, -1, dtype=np.intp)
+    conv_rows = np.arange(len(conv))[:, None]
+    groups = {}
+    for index, (start, stop) in enumerate(windows):
+        if stop - start <= k:
+            pooled[index, : stop - start] = conv[start:stop]
+            sel[index, : stop - start] = conv_rows[start:stop]
+        else:
+            groups.setdefault(stop - start, []).append(index)
+    for length, members in groups.items():
+        starts = np.array([windows[index][0] for index in members], dtype=np.intp)
+        rows = starts[:, None] + np.arange(length)
+        seqs = conv[rows]
+        # stable sort on negated values: equal values keep the earlier row
+        top = np.argsort(-seqs, axis=1, kind="stable")[:, :k]
+        top.sort(axis=1)
+        pooled[members] = np.take_along_axis(seqs, top, axis=1)
+        sel[members] = top + rows[:, :1, None]
+    return pooled, sel
 
 
 def kmax_pool_backward(grad_out: np.ndarray, sel: np.ndarray, input_rows: int) -> np.ndarray:
     """Route pooled gradients back to the selected input rows, zero elsewhere.
 
-    grad_out and sel are [..., k, nk]; every leading item routes into the
-    same [input_rows, nk] gradient, so sel of a batch indexes one shared
-    input and a row that several items select gets their sum. One scatter
-    on the flat index sel * nk + column: a zero-padded slot (sel -1) lands
-    in a spare row after the input's, which the result leaves out.
+    grad_out and sel are [P, k, nk], sel in input rows as ``kmax_pool``
+    returns it; a row that several windows select gets their sum. One
+    scatter on the flat index sel * nk + column: a zero-padded slot (sel -1)
+    lands in a spare row after the input's, which the result leaves out.
     """
     nk = grad_out.shape[-1]
     index = sel * nk

@@ -10,9 +10,9 @@ full unified label space.
 
 Every part is a prefix, a suffix or a span of the query's sentence, so a
 ``SentenceEncoding`` runs each CNN once over the sentence and pools each part
-from a row window of that conv. A window of at most k rows keeps all its
-rows, so it is copied into the pooled result with zero padding; longer
-windows are k-max pooled with one ``kmax_pool`` call per window length.
+from a row window of that conv. One ``kmax_pool`` call per CNN pools every
+window and returns the selected rows as rows of that conv, the frame
+``kmax_pool_backward`` routes gradients into.
 Training packs all the sentences of a mini-batch into one encoding and runs
 each layer once for the batch (``forward_sentences``, ``backward_query``).
 ``predict_queries`` packs sentences the same way, up to ``PACK_QUERIES``
@@ -257,36 +257,6 @@ def _cnn_layout(n_tokens: int, parts, width: int):
     return np.array(positions, dtype=np.intp), windows
 
 
-def _pool_windows(conv, windows, k):
-    """k-max pool each [start, stop) row window of conv. Returns pooled
-    [P, k, nk] and the selected conv rows [P, k, nk] (-1 for zero-padded
-    slots).
-
-    A window of at most k rows keeps every row in order: it is copied, with
-    zeros and -1 in the slots past its rows. Longer windows are grouped by
-    length, one kmax_pool call per length.
-    """
-    shape = (len(windows), k, conv.shape[1])
-    pooled = np.zeros(shape, dtype=conv.dtype)
-    sel = np.full(shape, -1, dtype=np.intp)
-    conv_rows = np.arange(len(conv))[:, None]
-    groups = {}
-    for index, (start, stop) in enumerate(windows):
-        if stop - start <= k:
-            pooled[index, : stop - start] = conv[start:stop]
-            sel[index, : stop - start] = conv_rows[start:stop]
-        else:
-            members, starts = groups.setdefault(stop - start, ([], []))
-            members.append(index)
-            starts.append(start)
-    for length, (members, starts) in groups.items():
-        rows = np.array(starts, dtype=np.intp)[:, None] + np.arange(length)
-        out, picked = kmax_pool(conv[rows], k)
-        pooled[members] = out
-        sel[members] = picked + rows[:, :1, None]
-    return pooled, sel
-
-
 def _route(ids, n_rows: int, grad):
     """Sum the rows of grad [len(ids), D] into [n_rows, D] by ``ids``, as one
     product of a 0/1 routing matrix [n_rows, len(ids)] with grad: rows that
@@ -328,7 +298,7 @@ class _CnnPass:
         conv = conv1d(self.mat, self.filters.value, self.bias.value)
         _check_finite(conv, f"{_CNN_NAMES[prefix]} CNN output", params)
         self.conv_rows = conv.shape[0]
-        self.pooled, self.sel = _pool_windows(conv, windows, params.hyper.k)
+        self.pooled, self.sel = kmax_pool(conv, windows, params.hyper.k)
         self.features = self.pooled.reshape(n_spans, -1)
         self.grad_pooled = None
 
@@ -609,9 +579,12 @@ def predict_queries(queries, params: ModelParams, masked: bool = False):
 MANIFEST_NAME = "manifest.json"
 PARAMS_NAME = "params.bin"
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
-# the keys save_checkpoint writes, besides the optional "extra"
-_MANIFEST_KEYS = ("format", "seed", "dtype", "hyperparams", "ec_labels", "re_labels",
-                  "vocab", "unk_row", "embeddings_trainable", "tensors", "total_bytes")
+# the keys save_checkpoint writes, besides the optional "extra", with the JSON
+# type of each value that load_checkpoint reads
+_MANIFEST_KEYS = {"format": None, "seed": None, "dtype": str, "hyperparams": dict,
+                  "ec_labels": list, "re_labels": list, "vocab": list, "unk_row": int,
+                  "embeddings_trainable": bool, "tensors": list, "total_bytes": int}
+_ENTRY_KEYS = {"name": str, "shape": list, "offset": int}
 
 
 def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | None = None):
@@ -654,7 +627,9 @@ def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | Non
 
 def _check_keys(path, what, found, required, optional=(), kind="key"):
     """Raise ValueError naming the first required key that ``found`` lacks,
-    or else the first key it has that is neither required nor optional."""
+    or else the first key it has that is neither required nor optional, or
+    else the first value whose JSON type is not the one ``required`` maps
+    its key to (None: any type)."""
     if not isinstance(found, dict):
         raise ValueError(f"{path}: {what} is not a JSON object")
     missing = [key for key in required if key not in found]
@@ -663,21 +638,37 @@ def _check_keys(path, what, found, required, optional=(), kind="key"):
     unknown = [key for key in found if key not in required and key not in optional]
     if unknown:
         raise ValueError(f"{path}: {what} has unknown {kind} {unknown[0]}")
+    for key, value_type in required.items():
+        if value_type is not None and type(found[key]) is not value_type:
+            raise ValueError(f"{path}: {what} {key} is not of type {value_type.__name__}")
+
+
+def _require(path, ok: bool, what: str):
+    """Raise ValueError naming the manifest at ``path`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{path}: {what}")
 
 
 def load_checkpoint(directory):
-    """Load a checkpoint directory; validates the manifest's keys, then the
-    tensor names and shapes against the model the manifest describes, then
-    that every tensor value is finite."""
+    """Load a checkpoint directory; validates the manifest's keys and value
+    types, then the tensor names and shapes against the model the manifest
+    describes and the vocabulary's embedding rows, then that every tensor
+    value is finite."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     _check_keys(manifest_path, "manifest", manifest, _MANIFEST_KEYS, optional=("extra",))
     _check_keys(manifest_path, "hyperparams", manifest["hyperparams"],
-                [f.name for f in fields(HyperParams)])
+                {f.name: f.type for f in fields(HyperParams)})
+    for key in ("ec_labels", "re_labels"):
+        _require(manifest_path, all(type(label) is str for label in manifest[key]),
+                 f"{key} holds a label that is not a string")
     for entry in manifest["tensors"]:
-        _check_keys(manifest_path, "tensor entry", entry, ("name", "shape", "offset"))
+        _check_keys(manifest_path, "tensor entry", entry, _ENTRY_KEYS)
+        _require(manifest_path, entry["offset"] >= 0
+                 and all(type(n) is int and n >= 0 for n in entry["shape"]),
+                 f"tensor {entry['name']} has a negative offset or size")
     code = _DTYPE_CODES.get(manifest["dtype"])
     if code is None:
         raise ValueError(f"{manifest_path}: unknown dtype {manifest['dtype']}")
@@ -693,27 +684,35 @@ def load_checkpoint(directory):
     size = path.stat().st_size
     if size != manifest["total_bytes"]:
         raise ValueError(
-            f"checkpoint payload is {size} bytes, manifest says {manifest['total_bytes']}"
+            f"{path}: checkpoint payload is {size} bytes, manifest says {manifest['total_bytes']}"
         )
-    vocab = {word: row for word, row in manifest["vocab"]}
     entries = {entry["name"]: entry for entry in manifest["tensors"]}
-    n_emb_rows = entries["embeddings"]["shape"][0] if "embeddings" in entries else 0
+    emb_shape = entries["embeddings"]["shape"] if "embeddings" in entries else []
+    n_emb_rows = emb_shape[0] if emb_shape else 0
     expected = dict(tensor_shapes(hyper, ls, n_emb_rows))
-    _check_keys(manifest_path, "manifest", entries, expected, kind="tensor")
+    _check_keys(manifest_path, "manifest", entries, dict.fromkeys(expected), kind="tensor")
+    for name, shape in expected.items():
+        _require(manifest_path, tuple(entries[name]["shape"]) == shape,
+                 f"tensor {name} has shape {tuple(entries[name]['shape'])}, "
+                 f"manifest/model disagree")
+    vocab = {}
+    for entry in manifest["vocab"]:
+        _require(manifest_path, type(entry) is list and len(entry) == 2 and type(entry[0]) is str
+                 and type(entry[1]) is int and 0 <= entry[1] < n_emb_rows,
+                 f"vocab entry {entry!r} is not a [word, row] pair of the {n_emb_rows} rows")
+        vocab[entry[0]] = entry[1]
+    _require(manifest_path, 0 <= manifest["unk_row"] < n_emb_rows,
+             f"unk_row {manifest['unk_row']} is outside the {n_emb_rows} embedding rows")
     tensors = {}
     # each tensor is read straight into its own array; the payload is never
     # held whole beside them
     with open(path, "rb") as handle:
         for name, shape in expected.items():
-            entry = entries[name]
-            if tuple(entry["shape"]) != shape:
-                raise ValueError(f"tensor {name} has shape {tuple(entry['shape'])}, "
-                                 f"manifest/model disagree")
             count = int(np.prod(shape))
-            handle.seek(entry["offset"])
+            handle.seek(entries[name]["offset"])
             value = np.fromfile(handle, dtype=code, count=count)
             if value.size != count:
-                raise ValueError(f"tensor {name} runs past the end of the checkpoint payload")
+                raise ValueError(f"{path}: tensor {name} runs past the end of the payload")
             if not np.isfinite(value).all():
                 raise ValueError(f"{path}: tensor {name} holds a non-finite value")
             tensors[name] = ParamTensor(name, value.reshape(shape))

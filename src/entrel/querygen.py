@@ -150,8 +150,6 @@ def subsample_negatives(queries, keep_prob: float, seed: int):
     """Independently keep each no-relation query with keep_prob (train/dev only)."""
     if not (0.0 < keep_prob <= 1.0):
         raise ConfigError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if keep_prob == 1.0:
-        return list(queries)
     rng = np.random.default_rng(seed)
     kept = []
     for query in queries:

@@ -12,6 +12,12 @@ import numpy as np
 
 from entrel.corpus import RE_LABELS, EntityMention, RelationAnnotation, Sentence
 
+MODIFIERS = ("new", "old", "big")  # the first token of a two-token name
+FILLERS = ("the", "a", "report", "today", "said", "meanwhile", "yesterday")
+NEUTRAL_TRIGGERS = (("met",), ("saw",), ("discussed",), ("mentioned",))
+NO_RELATION_FRACTION = 0.3  # sentences whose trigger is neutral
+MULTI_TOKEN_FRACTION = 0.25  # names drawn with a modifier
+
 
 @dataclass(frozen=True)
 class RelationTemplate:
@@ -25,11 +31,6 @@ class RelationTemplate:
 class RuleGrammar:
     templates: dict  # relation label -> RelationTemplate
     type_pools: dict  # entity type -> list of name tokens
-    modifiers: tuple = ("new", "old", "big")
-    fillers: tuple = ("the", "a", "report", "today", "said", "meanwhile", "yesterday")
-    neutral_triggers: tuple = (("met",), ("saw",), ("discussed",), ("mentioned",))
-    no_relation_fraction: float = 0.3
-    multi_token_fraction: float = 0.25
     inverse_fraction: float = 0.1
     seed: int = 7
 
@@ -42,11 +43,14 @@ class RuleGrammar:
                     raise ValueError(f"{label}: no name pool for type {entity_type!r}")
 
 
-def _pool(prefix, count):
-    return [f"{prefix}{i:02d}" for i in range(count)]
+def _name_pools(count):
+    """``count`` name tokens per entity type: per00, per01, ..."""
+    prefixes = {"Peop": "per", "Org": "org", "Loc": "loc", "Other": "oth"}
+    return {etype: [f"{prefix}{i:02d}" for i in range(count)]
+            for etype, prefix in prefixes.items()}
 
 
-def default_grammar(seed: int = 7, names_per_type: int = 24) -> RuleGrammar:
+def default_grammar(seed: int = 7) -> RuleGrammar:
     """Separable grammar: every relation has its own trigger phrases."""
     templates = {
         "Located_in": RelationTemplate("Loc", "Loc", (("lies", "within"), ("sits", "inside"))),
@@ -59,16 +63,10 @@ def default_grammar(seed: int = 7, names_per_type: int = 24) -> RuleGrammar:
         ),
         "Kill": RelationTemplate("Peop", "Peop", (("killed",), ("murdered",))),
     }
-    pools = {
-        "Peop": _pool("per", names_per_type),
-        "Org": _pool("org", names_per_type),
-        "Loc": _pool("loc", names_per_type),
-        "Other": _pool("oth", names_per_type),
-    }
-    return RuleGrammar(templates=templates, type_pools=pools, seed=seed)
+    return RuleGrammar(templates=templates, type_pools=_name_pools(24), seed=seed)
 
 
-def ambiguous_grammar(seed: int = 7, names_per_type: int = 40) -> RuleGrammar:
+def ambiguous_grammar(seed: int = 7) -> RuleGrammar:
     """Grammar with strong type-relation coupling: trigger phrases are shared
     across relations, so only the entity types disambiguate the relation."""
     join = (("linked", "to"),)
@@ -80,35 +78,29 @@ def ambiguous_grammar(seed: int = 7, names_per_type: int = 40) -> RuleGrammar:
         "Work_for": RelationTemplate("Peop", "Org", bind),
         "Kill": RelationTemplate("Peop", "Peop", bind),
     }
-    pools = {
-        "Peop": _pool("per", names_per_type),
-        "Org": _pool("org", names_per_type),
-        "Loc": _pool("loc", names_per_type),
-        "Other": _pool("oth", names_per_type),
-    }
-    return RuleGrammar(templates=templates, type_pools=pools,
+    return RuleGrammar(templates=templates, type_pools=_name_pools(40),
                        inverse_fraction=0.0, seed=seed)
 
 
 def _draw_name(rng, grammar, entity_type):
     name = grammar.type_pools[entity_type][rng.integers(len(grammar.type_pools[entity_type]))]
-    if rng.random() < grammar.multi_token_fraction:
-        return [grammar.modifiers[rng.integers(len(grammar.modifiers))], name]
+    if rng.random() < MULTI_TOKEN_FRACTION:
+        return [MODIFIERS[rng.integers(len(MODIFIERS))], name]
     return [name]
 
 
-def _draw_fillers(rng, grammar):
+def _draw_fillers(rng):
     count = int(rng.integers(0, 3))
-    return [grammar.fillers[rng.integers(len(grammar.fillers))] for _ in range(count)]
+    return [FILLERS[rng.integers(len(FILLERS))] for _ in range(count)]
 
 
 def _make_sentence(index, rng, grammar) -> Sentence:
     relation = None
-    if rng.random() < grammar.no_relation_fraction or not grammar.templates:
+    if rng.random() < NO_RELATION_FRACTION or not grammar.templates:
         types = [t for t in grammar.type_pools]
         t1 = types[rng.integers(len(types))]
         t2 = types[rng.integers(len(types))]
-        trigger = list(grammar.neutral_triggers[rng.integers(len(grammar.neutral_triggers))])
+        trigger = list(NEUTRAL_TRIGGERS[rng.integers(len(NEUTRAL_TRIGGERS))])
         first_type, second_type = t1, t2
         head_is_second = False
     else:
@@ -125,8 +117,8 @@ def _make_sentence(index, rng, grammar) -> Sentence:
             trigger = list(template.triggers[rng.integers(len(template.triggers))])
             first_type, second_type = template.head_type, template.tail_type
 
-    prefix = _draw_fillers(rng, grammar)
-    suffix = _draw_fillers(rng, grammar)
+    prefix = _draw_fillers(rng)
+    suffix = _draw_fillers(rng)
     first_name = _draw_name(rng, grammar, first_type)
     second_name = _draw_name(rng, grammar, second_type)
 

@@ -315,12 +315,27 @@ def test_missing_subcommand_and_bad_span_exit_2(checkpoint):
                "--span1", "1:0", "--span2", "1:2") == 2
 
 
-@pytest.mark.parametrize("corrupt, key", [
+@pytest.mark.parametrize("corrupt, ending", [
     (lambda m: m["hyperparams"].update(bogus=3), "bogus"),
     (lambda m: m["hyperparams"].pop("h_c"), "h_c"),
     (lambda m: m.pop("tensors"), "tensors"),
-], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key"])
-def test_malformed_manifest_exits_1_with_one_line(checkpoint, tmp_path, capsys, corrupt, key):
+    (lambda m: m["vocab"][0].__setitem__(1, 67), "[word, row] pair of the 67 rows"),
+    (lambda m: m["vocab"][0].__setitem__(1, -1), "[word, row] pair of the 67 rows"),
+    (lambda m: m.update(vocab={"a": 0}), "manifest vocab is not of type list"),
+    (lambda m: m["vocab"].__setitem__(0, ["a"]), "['a'] is not a [word, row] pair of the 67 rows"),
+    (lambda m: m.update(unk_row=67), "unk_row 67 is outside the 67 embedding rows"),
+    (lambda m: m.update(ec_labels=5), "manifest ec_labels is not of type list"),
+    (lambda m: m["tensors"][0].update(shape=67), "tensor entry shape is not of type list"),
+    (lambda m: m["tensors"][1].update(offset=-8), "ctx_filters has a negative offset or size"),
+    (lambda m: m["tensors"][2].update(shape=[-4]), "ctx_bias has a negative offset or size"),
+    (lambda m: m["tensors"][0].update(name=[0]), "tensor entry name is not of type str"),
+    (lambda m: m["hyperparams"].update(k="2"), "hyperparams k is not of type int"),
+    (lambda m: m.update(embeddings_trainable="no"), "embeddings_trainable is not of type bool"),
+], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key", "vocab-row-past-table",
+        "negative-vocab-row", "vocab-not-a-list", "vocab-entry-not-a-pair", "unk-row-past-table",
+        "labels-not-a-list", "shape-not-a-list", "negative-offset", "negative-size",
+        "name-not-a-string", "hyperparam-as-text", "trainable-not-a-bool"])
+def test_malformed_manifest_exits_1_with_one_line(checkpoint, tmp_path, capsys, corrupt, ending):
     broken = tmp_path / "ck"
     shutil.copytree(checkpoint, broken)
     content = manifest(broken)
@@ -328,7 +343,7 @@ def test_malformed_manifest_exits_1_with_one_line(checkpoint, tmp_path, capsys, 
     (broken / "manifest.json").write_text(json.dumps(content))
     assert run("inspect-transitions", "--checkpoint", broken) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert str(broken / "manifest.json") in line and line.endswith(f" {key}")
+    assert str(broken / "manifest.json") in line and line.endswith(f" {ending}")
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -190,6 +190,16 @@ class TestCanonical:
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: {message}"):
             load_canonical(path)
 
+    def test_repeated_sentence_id_names_both_lines(self, tmp_path):
+        # a record whose id is the number 7 repeats the text id "7"
+        records = [sentence_to_record(Sentence(sid, ["a"], [], [])) for sid in ("7", "s", "t")]
+        records[2]["id"] = 7
+        path = tmp_path / "canon.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: sentence id '7' "
+                                              "repeats the one on line 1$"):
+            load_canonical(path)
+
     def test_record_that_is_no_object_is_named(self, tmp_path):
         path = tmp_path / "canon.jsonl"
         path.write_text("[1, 2]\n")

@@ -161,7 +161,7 @@ class TestStaysFloat32:
         seq, filters, bias = (rng.normal(size=shape).astype(np.float32)
                               for shape in ((7, 6), (4, 3, 6), (4,)))
         conv = conv1d(seq, filters, bias)
-        pooled, sel = kmax_pool(conv, 2)
+        pooled, sel = kmax_pool(conv, [(0, len(conv)), (2, 4)], 2)
         h = np.tanh(matvec(filters[:, 0], seq))
         outputs = [conv, pooled, kmax_pool_backward(pooled, sel, len(conv)),
                    *conv1d_backward(conv, seq, filters), h, tanh_backward(h, h),

@@ -18,6 +18,7 @@ from entrel.kernels import (
 )
 
 from conftest import finite_difference
+from pool_oracles import kmax_pool_oracle
 from scatter_oracles import kmax_pool_backward_oracle
 
 
@@ -44,14 +45,6 @@ def naive_conv1d(seq, filters, bias):
                     acc += seq[t + i, e] * filters[f, i, e]
             out[t, f] = acc
     return out
-
-
-def index_sort_kmax(column, k):
-    order = sorted(range(len(column)), key=lambda i: (-column[i], i))[:k]
-    order.sort()
-    values = [column[i] for i in order]
-    values += [0.0] * (k - len(values))
-    return values
 
 
 class TestMatvec:
@@ -128,41 +121,82 @@ class TestConv1d:
         assert np.allclose(a, b, atol=1e-12)
 
 
+def pool_one(seq, k):
+    """kmax_pool of seq as one window over all its rows: (out [k, nk],
+    sel [k, nk])."""
+    out, sel = kmax_pool(seq, [(0, len(seq))], k)
+    return out[0], sel[0]
+
+
 class TestKMaxPool:
     def test_two_largest_in_order(self):
         col = np.array([[1.0], [3.0], [2.0], [5.0], [4.0]])
-        out, sel = kmax_pool(col, 2)
+        out, sel = pool_one(col, 2)
         assert out[:, 0].tolist() == [5.0, 4.0]
         assert sel[:, 0].tolist() == [3, 4]
 
     def test_zero_padding_rule(self):
-        out, sel = kmax_pool(np.array([[1.0], [2.0]]), 3)
+        out, sel = pool_one(np.array([[1.0], [2.0]]), 3)
         assert out[:, 0].tolist() == [1.0, 2.0, 0.0]
         assert sel[:, 0].tolist() == [0, 1, -1]
 
     def test_short_negative_input_keeps_values(self):
         # output-padding rule: all rows kept in order, zeros appended
-        out, _ = kmax_pool(np.array([[-5.0], [-7.0]]), 3)
+        out, _ = pool_one(np.array([[-5.0], [-7.0]]), 3)
         assert out[:, 0].tolist() == [-5.0, -7.0, 0.0]
 
+    def test_window_of_exactly_k_rows_is_copied(self):
+        conv = np.array([[9.0, -1.0], [-3.0, 4.0], [6.0, 6.0], [8.0, 0.0]])
+        out, sel = kmax_pool(conv, [(1, 3)], 2)
+        assert np.array_equal(out[0], conv[1:3])
+        assert sel[0].tolist() == [[1, 1], [2, 2]]
+
     def test_tie_earlier_index_wins(self):
-        out, sel = kmax_pool(np.array([[2.0], [5.0], [5.0], [1.0]]), 2)
+        out, sel = pool_one(np.array([[2.0], [5.0], [5.0], [1.0]]), 2)
         assert sel[:, 0].tolist() == [1, 2]
-        out, sel = kmax_pool(np.array([[7.0], [7.0], [1.0]]), 1)
+        out, sel = pool_one(np.array([[7.0], [7.0], [1.0]]), 1)
         assert sel[:, 0].tolist() == [0]
+
+    def test_overlapping_windows_select_conv_rows(self):
+        # two windows of one length share rows 1-3; each picks in its own rows
+        conv = np.array([[5.0], [1.0], [4.0], [2.0], [3.0]])
+        out, sel = kmax_pool(conv, [(0, 4), (1, 5), (2, 3)], 2)
+        assert sel[:, :, 0].tolist() == [[0, 2], [2, 4], [2, -1]]
+        assert out[:, :, 0].tolist() == [[5.0, 4.0], [4.0, 3.0], [4.0, 0.0]]
 
     def test_against_index_sort_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             col = rng.normal(size=(10, 1))
-            out, _ = kmax_pool(col, 4)
-            assert out[:, 0].tolist() == index_sort_kmax(col[:, 0].tolist(), 4)
+            out, sel = pool_one(col, 4)
+            want_out, want_sel = kmax_pool_oracle(col, [(0, 10)], 4)
+            assert np.array_equal(out, want_out[0])
+            assert np.array_equal(sel, want_sel[0])
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_windows_match_per_column_oracle(self, data):
+        # windows of any length up to the whole conv, overlapping, of exactly
+        # k rows, or several of one length; small integers make ties common
+        rows = data.draw(st.integers(1, 9), label="rows")
+        nk = data.draw(st.integers(1, 4), label="nk")
+        k = data.draw(st.integers(1, 4), label="k")
+        bounds = st.tuples(st.integers(0, rows), st.integers(0, rows))
+        windows = [(min(a, b), max(a, b)) for a, b in
+                   data.draw(st.lists(bounds, max_size=8), label="windows")]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        conv = rng.integers(-2, 3, size=(rows, nk)).astype(np.float32)
+        out, sel = kmax_pool(conv, windows, k)
+        want_out, want_sel = kmax_pool_oracle(conv, windows, k)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(sel, want_sel)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=12),
            st.integers(min_value=1, max_value=6))
     def test_output_multiset_and_order(self, values, k):
         col = np.array(values)[:, None]
-        out, sel = kmax_pool(col, k)
+        out, sel = pool_one(col, k)
         source = list(values) + [0.0]
         for v in out[:, 0]:
             assert v in source
@@ -171,31 +205,18 @@ class TestKMaxPool:
 
     def test_backward_routing(self):
         col = np.array([[1.0], [3.0], [2.0], [5.0], [4.0]])
-        _, sel = kmax_pool(col, 2)
-        grad = kmax_pool_backward(np.array([[10.0], [20.0]]), sel, 5)
+        _, sel = kmax_pool(col, [(0, 5)], 2)
+        grad = kmax_pool_backward(np.array([[[10.0], [20.0]]]), sel, 5)
         assert grad[:, 0].tolist() == [0.0, 0.0, 0.0, 10.0, 20.0]
 
     def test_backward_ignores_padded_slots(self):
-        _, sel = kmax_pool(np.array([[1.0], [2.0]]), 3)
-        grad = kmax_pool_backward(np.array([[1.0], [2.0], [99.0]]), sel, 2)
+        _, sel = kmax_pool(np.array([[1.0], [2.0]]), [(0, 2)], 3)
+        grad = kmax_pool_backward(np.array([[[1.0], [2.0], [99.0]]]), sel, 2)
         assert grad[:, 0].tolist() == [1.0, 2.0]
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            kmax_pool(np.zeros((3, 1)), 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(batch=st.integers(1, 4), rows=st.integers(1, 7), k=st.integers(1, 5),
-           seed=st.integers(0, 2**32 - 1))
-    def test_batch_pools_item_by_item(self, batch, rows, k, seed):
-        # small integers make ties common
-        seqs = np.random.default_rng(seed).integers(-2, 3, size=(batch, rows, 3)).astype(float)
-        out, sel = kmax_pool(seqs, k)
-        assert out.shape == sel.shape == (batch, k, 3)
-        for b in range(batch):
-            item_out, item_sel = kmax_pool(seqs[b], k)
-            assert np.array_equal(out[b], item_out)
-            assert np.array_equal(sel[b], item_sel)
+            kmax_pool(np.zeros((3, 1)), [(0, 3)], 0)
 
     def test_backward_batch_routes_into_one_input(self):
         # two pooled items select rows of one shared 4-row input; slots that
@@ -219,12 +240,7 @@ class TestKMaxPool:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         seq = rng.integers(-2, 3, size=(rows, nk)).astype(float)  # ties common
         length = data.draw(st.integers(1, rows), label="length")  # clipped at the end
-        sel = []
-        for start in starts:
-            stop = min(rows, start + length)
-            _, picked = kmax_pool(seq[start:stop], k)
-            sel.append(np.where(picked >= 0, picked + start, -1))
-        sel = np.stack(sel)
+        _, sel = kmax_pool(seq, [(start, min(rows, start + length)) for start in starts], k)
         grad_out = rng.normal(size=sel.shape)
         grad = kmax_pool_backward(grad_out, sel, rows)
         oracle = kmax_pool_backward_oracle(grad_out, sel, rows)
@@ -312,11 +328,11 @@ class TestBackwardPasses:
         upstream = np.array([[1.0, -2.0], [0.5, 3.0]])
 
         def objective():
-            out, _ = kmax_pool(seq, 2)
+            out, _ = pool_one(seq, 2)
             return float((out * upstream).sum())
 
-        _, sel = kmax_pool(seq, 2)
-        analytic = kmax_pool_backward(upstream, sel, 5)
+        _, sel = kmax_pool(seq, [(0, 5)], 2)
+        analytic = kmax_pool_backward(upstream[None], sel, 5)
         assert rel_error(analytic, finite_difference(objective, seq)) < 1e-6
 
 

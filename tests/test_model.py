@@ -16,7 +16,7 @@ from entrel.corpus import (
     corpus_vocabulary,
     random_embeddings,
 )
-from entrel.kernels import conv1d, conv1d_backward, kmax_pool, kmax_pool_backward, rel_error
+from entrel.kernels import conv1d, conv1d_backward, kmax_pool_backward, rel_error
 from entrel.model import (
     HyperParams,
     SentenceEncoding,
@@ -38,6 +38,7 @@ from entrel.querygen import Query, QueryError, gen_setup1, gen_setup3
 import softmax_oracles
 from conftest import FIG_TOKENS, TINY_HYPER, finite_difference
 from crf_oracles import brute_force_logZ, sequence_score
+from pool_oracles import kmax_pool_oracle
 from scatter_oracles import route_oracle
 
 
@@ -263,12 +264,12 @@ class TestSentenceEncoding:
     @given(data=st.data())
     def test_slice_pooling_matches_per_part_conv(self, data):
         """Pooled parts and their gradients equal a separate zero-padded
-        conv1d + kmax_pool per part, for spans and contexts of any length
-        (empty and shorter than the filter width included), whether one
-        sentence is encoded or several are packed into one encoding. Each
-        part's selected rows are its own kmax_pool selection shifted to the
-        part's rows in the encoding's conv, which tied values in ``pooled``
-        could not show."""
+        conv1d per part, pooled by the per-column reference, for spans and
+        contexts of any length (empty and shorter than the filter width
+        included), whether one sentence is encoded or several are packed
+        into one encoding. Each part's selected rows are the reference's
+        selection shifted to the part's rows in the encoding's conv, which
+        tied values in ``pooled`` could not show."""
         sentences = []
         for _ in range(data.draw(st.integers(1, 3), label="n_sentences")):
             n_tokens = data.draw(st.integers(1, 9), label="n_tokens")
@@ -325,11 +326,11 @@ class TestSentenceEncoding:
                 ids = [params.embeddings.lookup(tok) for tok in tokens[a:b]]
                 mat = embed_pad(ids, emb, width)
                 conv = conv1d(mat, filters, params[f"{prefix}_bias"].value)
-                pooled, sel = kmax_pool(conv, k)
-                assert same(cnn.pooled[index], pooled), (prefix, index, a, b)
-                shifted = np.where(sel >= 0, sel + firsts[index], -1)
+                pooled, sel = kmax_pool_oracle(conv, [(0, len(conv))], k)
+                assert same(cnn.pooled[index], pooled[0]), (prefix, index, a, b)
+                shifted = np.where(sel[0] >= 0, sel[0] + firsts[index], -1)
                 assert np.array_equal(cnn.sel[index], shifted), (prefix, index, a, b)
-                grad_conv = kmax_pool_backward(upstream[index], sel, conv.shape[0])
+                grad_conv = kmax_pool_backward(upstream[index][None], sel, conv.shape[0])
                 grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, mat, filters)
                 expected[f"{prefix}_filters"] += grad_filters
                 expected[f"{prefix}_bias"] += grad_bias

@@ -41,7 +41,7 @@ class TestGenerate:
     def test_no_relation_fraction_roughly_respected(self):
         sentences = synth.generate(synth.default_grammar(seed=4), 2000)
         without = sum(1 for s in sentences if not s.relations)
-        assert 0.2 < without / 2000 < 0.4  # configured 0.3
+        assert 0.2 < without / 2000 < 0.4  # NO_RELATION_FRACTION = 0.3
 
     def test_inverse_surfaces_produce_later_heads(self):
         grammar = synth.default_grammar(seed=5)
