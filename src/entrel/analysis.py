@@ -65,7 +65,7 @@ def disagreement_report(groups) -> DisagreementStats:
         total += 1
         if not votes:
             raise ValueError("disagreement_report: empty vote group")
-        wrong = sum(1 for vote in votes if vote != majority)
+        wrong = len(votes) - votes.count(majority)
         if wrong:
             fractions.append(wrong / len(votes))
     if fractions:

@@ -63,20 +63,20 @@ class MetricsReport:
 
 
 def class_counts(predictions, golds, classes) -> dict:
-    """ClassCounts of each of ``classes`` over aligned prediction/gold lists,
-    counted in one pass; labels outside ``classes`` count for none."""
+    """ClassCounts of each of ``classes`` over aligned prediction/gold lists;
+    labels outside ``classes`` count for none."""
     if len(predictions) != len(golds):
         raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
     counts = {cls: ClassCounts() for cls in classes}
-    for pred, gold in zip(predictions, golds):
+    for (pred, gold), n in Counter(zip(predictions, golds)).items():
         if pred == gold:
             if pred in counts:
-                counts[pred].tp += 1
+                counts[pred].tp += n
         else:
             if pred in counts:
-                counts[pred].fp += 1
+                counts[pred].fp += n
             if gold in counts:
-                counts[gold].fn += 1
+                counts[gold].fn += n
     return counts
 
 
@@ -105,37 +105,57 @@ def majority_vote(votes, label_space: LabelSpace | None = None) -> str:
     """Most frequent label; ties break by canonical label order."""
     if not votes:
         raise ValueError("majority_vote needs at least one vote")
-    if len(votes) == 1:
-        return votes[0]
-    ls = label_space or LabelSpace()
+    return _majority(votes, (label_space or LabelSpace()).unified)
+
+
+def _majority(votes, order=None):
+    """Most frequent of a non-empty list of votes; ties go to the least by
+    ``order`` (by default the votes' own order)."""
+    first = votes[0]
+    if votes.count(first) == len(votes):
+        return first
     counts = Counter(votes)
-    return min(counts, key=lambda label: (-counts[label], ls.unified(label)))
+    top = max(counts.values())
+    return min((vote for vote, n in counts.items() if n == top), key=order)
 
 
-def _entity_votes(queries, predictions, label_space: LabelSpace):
-    """One entry per (sentence_id, span) that some query holds: (gold label,
-    majority label, votes), the votes being the labels every query holding
-    the span predicted for it, in query order."""
-    ls = label_space
-    names = ls.class_labels
-    votes = {}
+def _entity_votes(queries, predictions):
+    """The entity votes of the queries as {sentence_id: {span: (gold label,
+    majority, votes)}}, one entry per span that some query holds: the votes
+    are the unified indices that every query holding the span predicted for
+    it, in query order; the majority breaks ties by canonical label order,
+    and the gold label is the first such query's."""
+    by_sentence, sentence = {}, None
     for query, (t1, _, t2) in zip(queries, predictions):
-        for span, gold, idx in ((query.span_i, query.gold_t1, t1),
-                                (query.span_j, query.gold_t2, t2)):
-            votes.setdefault((query.sentence_id, span), (gold, []))[1].append(names[idx])
-    return {key: (gold, majority_vote(labels, ls), labels)
-            for key, (gold, labels) in votes.items()}
+        if query.sentence is not sentence:
+            sentence = query.sentence
+            spans = by_sentence.setdefault(query.sentence_id, {})
+        # the two spans written out: a loop over them costs as much again
+        voted = spans.get(query.span_i)
+        if voted is None:
+            spans[query.span_i] = (query.gold_t1, [t1])
+        else:
+            voted[1].append(t1)
+        voted = spans.get(query.span_j)
+        if voted is None:
+            spans[query.span_j] = (query.gold_t2, [t2])
+        else:
+            voted[1].append(t2)
+    return {sid: {span: (gold, _majority(votes), votes) for span, (gold, votes) in spans.items()}
+            for sid, spans in by_sentence.items()}
 
 
 def _disagreement(voted):
-    return disagreement_report([(majority, labels) for _, majority, labels in voted.values()])
+    return disagreement_report([(majority, votes) for spans in voted.values()
+                                for _, majority, votes in spans.values()])
 
 
 def _report_from_decisions(ec_decisions, re_decisions, ls, omit_other, diagnostics):
     re_classes = [cls for cls in ls.re_labels if cls != NO_RELATION]
     counts = {}
     for decisions, classes in ((ec_decisions, ls.ec_labels), (re_decisions, re_classes)):
-        counts.update(class_counts([p for p, _ in decisions], [g for _, g in decisions], classes))
+        predictions, golds = zip(*decisions) if decisions else ((), ())
+        counts.update(class_counts(predictions, golds, classes))
     ec_f1 = {cls: counts[cls].f1 for cls in ls.ec_labels}
     re_f1 = {cls: counts[cls].f1 for cls in re_classes}
     avg_ec, avg_re, avg_both = macro_and_avg(ec_f1, re_f1, ls, omit_other)
@@ -146,9 +166,10 @@ def score_paired(queries, predictions, label_space: LabelSpace | None = None,
                  omit_other: bool = False) -> MetricsReport:
     """Setup 1/2 scoring: majority-voted entity decisions, per-pair relations."""
     ls = label_space or LabelSpace()
-    voted = _entity_votes(queries, predictions, ls)
-    ec_decisions = [(majority, gold) for gold, majority, _ in voted.values()]
+    voted = _entity_votes(queries, predictions)
     names = ls.class_labels
+    ec_decisions = [(names[majority], gold) for spans in voted.values()
+                    for gold, majority, _ in spans.values()]
     re_decisions = [(names[pred[1]], query.gold_rel)
                     for query, pred in zip(queries, predictions)]
     return _report_from_decisions(ec_decisions, re_decisions, ls, omit_other,
@@ -181,16 +202,16 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
     ls = label_space or LabelSpace()
     ec_decisions = []
     re_decisions = []
+    empty = PredictedTable("", {}, {})
     for sentence in sentences:
-        table = tables.get(sentence.id, PredictedTable(sentence.id, {}, {}))
-        covered = {}
-        for ent_idx, ent in enumerate(sentence.entities):
-            for t in range(ent.start, ent.end):
-                covered[t] = ent_idx
+        table = tables.get(sentence.id, empty)
+        ec_by_token = table.ec_by_token
+        span_of = {}  # token -> the span of the entity that holds it
         # entity decisions: at-least-one over the entity's tokens
         for ent in sentence.entities:
-            votes = [table.ec_by_token.get(t) for t in range(ent.start, ent.end)]
-            votes = [v for v in votes if v is not None]
+            tokens = range(ent.start, ent.end)
+            span_of.update(dict.fromkeys(tokens, ent.span))
+            votes = [ec_by_token[t] for t in tokens if t in ec_by_token]
             if ent.type in votes:
                 ec_decisions.append((ent.type, ent.type))
             else:
@@ -199,25 +220,21 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
                     ec_decisions.append((majority_vote(wrong, ls), ent.type))
                 else:
                     ec_decisions.append(("O", ent.type))
-        for t, label in sorted(table.ec_by_token.items()):
-            if t not in covered and label != "O":
+        for t, label in ec_by_token.items():
+            if t not in span_of and label != "O":
                 ec_decisions.append((label, "O"))
-        # relation decisions
+        # relation decisions: a cell (a, b) lies under the pair of the
+        # entities that hold a and b
         pairs = related_pairs(sentence)
-        pair_of_cell = {}
-        for first, second in pairs:
-            for a in range(*first):
-                for b in range(*second):
-                    pair_of_cell[(a, b)] = (first, second)
         under = {pair: [] for pair in pairs}
-        for cell, label in sorted(table.rel_by_cell.items()):
+        for (a, b), label in table.rel_by_cell.items():
             if label == NO_RELATION:
                 continue
-            pair = pair_of_cell.get(cell)
-            if pair is None:
-                re_decisions.append((label, NO_RELATION))
-            else:
+            pair = (span_of.get(a), span_of.get(b))
+            if pair in under:
                 under[pair].append(label)
+            else:
+                re_decisions.append((label, NO_RELATION))
         for pair, (gold_label, _) in pairs.items():
             labels = under[pair]
             if gold_label in labels:
@@ -238,15 +255,19 @@ def score_queries(queries, predictions, setup: int, label_space: LabelSpace | No
     if setup == 3:
         if sentences is None:
             sentences = list({q.sentence_id: q.sentence for q in queries}.values())
-        voted = _entity_votes(queries, predictions, ls)
+        voted = _entity_votes(queries, predictions)
         names = ls.class_labels
-        tables = {}
-        for query, pred in zip(queries, predictions):
-            table = tables.setdefault(query.sentence_id,
-                                      PredictedTable(query.sentence_id, {}, {}))
-            table.rel_by_cell[(query.span_i[0], query.span_j[0])] = names[pred[1]]
-        for (sid, span), (_, majority, _) in voted.items():
-            tables[sid].ec_by_token[span[0]] = majority
+        no_relation, other = ls.unified(NO_RELATION), ls.unified("O")
+        # the tables hold only the tokens voted other than O and the cells
+        # predicted other than N: score_setup3 reads the rest as O and N
+        tables = {sid: PredictedTable(sid, {span[0]: names[majority]
+                                            for span, (_, majority, _) in spans.items()
+                                            if majority != other}, {})
+                  for sid, spans in voted.items()}
+        for query, (_, rel, _) in zip(queries, predictions):
+            if rel != no_relation:
+                cell = (query.span_i[0], query.span_j[0])
+                tables[query.sentence_id].rel_by_cell[cell] = names[rel]
         return score_setup3(tables, sentences, ls, omit_other, _disagreement(voted))
     raise ValueError(f"unknown setup {setup}")
 

@@ -19,6 +19,18 @@ each layer once for the batch (``forward_sentences``, ``backward_query``).
 queries at a time, and decodes each pack as one batch; a one-sentence call
 is a pack of one.
 
+The RE input of a span pair (i, j) is its two spans' features concatenated,
+[f(i), f(j)] with D features per span, so its hidden pre-activation is
+f(i) @ W[:D] + f(j) @ W[D:]. When one ``encode_task`` call has more inputs
+than its encoding has spans, as in a table of every pair of a sentence's
+spans, each hidden layer therefore multiplies every span's features by each
+D-row block of W once and sums the blocks' rows per pair
+(``_CnnPass.project``), instead of multiplying a gathered [B, 2D] input by
+all of W. The rule compares the call's own row counts, B inputs against the
+spans, and nothing else: calls with no more inputs than spans keep the
+gathered product. The two forms differ only in rounding; the backward
+gathers the inputs in either case.
+
 The backward writes each parameter's gradient buffer once per batch: weight
 and bias gradients go straight into their buffers as one product or sum, and
 gradients that several inputs send to one span are summed by a
@@ -54,9 +66,9 @@ from entrel.querygen import Query, check_spans
 
 TASKS = ("ec", "re")
 # queries that predict_queries scores and decodes together. Larger packs save
-# per-call work, but a pack's RE input features and score cubes grow with it:
-# at the tuned setup-2/3 sizes a pack of 64 peaks near 4 MB, one of 256 near
-# 15 MB, for about 20% more throughput.
+# per-call work, but a pack's hidden activations and score cubes grow with it:
+# at the tuned setup-2/3 sizes a pack of 64 peaks near 3 MB, one of 256 near
+# 10 MB, for about 20% more throughput.
 PACK_QUERIES = 64
 # entity spans per task input: EC encodes one span, RE an ordered pair; each
 # span brings two context parts (left, right) and one entity part
@@ -306,6 +318,18 @@ class _CnnPass:
         """The features of each input's spans [B, S] concatenated: [B, S * D]."""
         return self.features[span_ids].reshape(len(span_ids), -1)
 
+    def project(self, span_ids, w):
+        """gather(span_ids) @ w [S * D, H]: [B, H]. When inputs outnumber
+        spans, each span's features are multiplied by each D-row block of w
+        once and the blocks' rows summed per input."""
+        if len(span_ids) <= len(self.features):
+            return matvec(w.T, self.gather(span_ids))
+        d = self.features.shape[1]
+        out = matvec(w[:d].T, self.features)[span_ids[:, 0]]
+        for s in range(1, span_ids.shape[1]):
+            out += matvec(w[s * d : (s + 1) * d].T, self.features)[span_ids[:, s]]
+        return out
+
     def add_grad(self, span_ids, grad_concat):
         """Add the gradient of features[span_ids] [B, S], flattened per input
         as [B, S * D], to ``grad_pooled``; a span repeated in span_ids gets
@@ -387,8 +411,8 @@ def encode_task(enc: SentenceEncoding, task: str, span_ids, params: ModelParams)
         raise ValueError(f"task {task!r} expects {n_spans} span(s) per input, "
                          f"got span ids of shape {span_ids.shape}")
     ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
-    h_ctx = np.tanh(matvec(ctx_w.value.T, enc.ctx.gather(span_ids)) + ctx_b.value)
-    h_ent = np.tanh(matvec(ent_w.value.T, enc.ent.gather(span_ids)) + ent_b.value)
+    h_ctx = np.tanh(enc.ctx.project(span_ids, ctx_w.value) + ctx_b.value)
+    h_ent = np.tanh(enc.ent.project(span_ids, ent_w.value) + ent_b.value)
     h = np.concatenate([h_ctx, h_ent], axis=1)
     cache = {
         "task": task,

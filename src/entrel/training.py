@@ -2,7 +2,11 @@
 best-on-dev checkpointing, and the gradient-check harness.
 
 Determinism: all randomness flows from the config seed. Identical
-(queries, config, initial params) produce identical logs and checkpoints.
+(queries, config, initial params) produce identical logs and checkpoints at
+a fixed BLAS thread count. The BLAS library may split a matrix product across
+threads and sum its parts in another order at another count, so the same run
+then differs in the last bits: s1's last-epoch train loss read 0.7417083366
+at one OpenBLAS thread and 0.7417083871 at two.
 """
 
 import json

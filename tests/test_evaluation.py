@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entrel import synth
+from entrel.analysis import disagreement_report
 from entrel.corpus import NO_RELATION, RE_LABELS, LabelSpace, Sentence, EntityMention, RelationAnnotation
 from entrel.evaluation import (
     ClassCounts,
+    MetricsReport,
     PredictedTable,
     class_counts,
     format_report,
@@ -332,6 +334,60 @@ class TestScoreSetup3:
         preds = perfect_predictions(queries, label_space)
         report = score_queries(queries, preds, 3, label_space, sentences)
         assert report.avg_ec_re == 1.0
+
+
+def plain_votes(queries, predictions, ls):
+    """(gold, majority, votes) per (sentence id, span), voted the plain way:
+    label names in query order, the majority by count with ties broken by
+    canonical label order, the gold label the first query's."""
+    votes = {}
+    for query, (t1, _, t2) in zip(queries, predictions):
+        for span, gold, idx in ((query.span_i, query.gold_t1, t1),
+                                (query.span_j, query.gold_t2, t2)):
+            votes.setdefault((query.sentence_id, span), (gold, []))[1].append(ls.class_labels[idx])
+    voted = {}
+    for key, (gold, labels) in votes.items():
+        counts = Counter(labels)
+        voted[key] = (gold, min(counts, key=lambda label: (-counts[label], ls.unified(label))),
+                      labels)
+    return voted
+
+
+class TestScoreQueries:
+    @pytest.mark.parametrize("setup", [2, 3])
+    def test_random_predictions_match_plain_vote(self, label_space, setup):
+        """score_queries against dense decisions built from plain_votes: each
+        entity's votes draw from two labels, so they disagree and tie."""
+        ls = label_space
+        rng = np.random.default_rng(setup)
+        sentences = synth.generate(synth.default_grammar(seed=12), 40)
+        queries, _ = (gen_setup2 if setup == 2 else gen_setup3)(sentences)
+        rels = [ls.unified(RE_LABELS[0]), ls.unified(NO_RELATION)]
+        preds = [(int(rng.integers(0, 2)), rels[rng.integers(0, 2)], int(rng.integers(0, 2)))
+                 for _ in queries]
+        voted = plain_votes(queries, preds, ls)
+        stats = disagreement_report([(majority, labels) for _, majority, labels in voted.values()])
+        assert 0 < stats.n_disagreeing < stats.n_groups
+        if setup == 3:
+            tables = {}  # every cell's label and every token's majority, O and N included
+            for query, pred in zip(queries, preds):
+                table = tables.setdefault(query.sentence_id,
+                                          PredictedTable(query.sentence_id, {}, {}))
+                table.rel_by_cell[(query.span_i[0], query.span_j[0])] = ls.class_labels[pred[1]]
+            for (sid, span), (_, majority, _) in voted.items():
+                tables[sid].ec_by_token[span[0]] = majority
+            expected = score_setup3(tables, sentences, ls, diagnostics=stats)
+        else:
+            re_classes = [cls for cls in ls.re_labels if cls != NO_RELATION]
+            counts = class_counts([m for _, m, _ in voted.values()],
+                                  [g for g, _, _ in voted.values()], ls.ec_labels)
+            counts.update(class_counts([ls.class_labels[p[1]] for p in preds],
+                                       [q.gold_rel for q in queries], re_classes))
+            ec_f1 = {cls: counts[cls].f1 for cls in ls.ec_labels}
+            re_f1 = {cls: counts[cls].f1 for cls in re_classes}
+            expected = MetricsReport(ec_f1, re_f1, *macro_and_avg(ec_f1, re_f1, ls), counts, stats)
+        report = score_queries(queries, preds, setup, ls, sentences)
+        assert report.as_dict() == expected.as_dict()
 
 
 class TestReportFormat:

@@ -169,13 +169,16 @@ class TestEncode:
         expected = params["ec_out"].value.T @ np.concatenate([h_ctx, h_ent])
         assert np.abs(d[0] - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("tokens, span_i, span_j", [
-        (FIG_TOKENS, (0, 1), (6, 7)),
+    @pytest.mark.parametrize("tokens, pairs", [
+        (FIG_TOKENS, [((0, 1), (6, 7))]),
         # the outer contexts tokens[:si] and tokens[ej:] are empty; the inner
         # ones each hold the other entity
-        (["a", "b"], (0, 1), (1, 2)),
-    ], ids=["figure", "two-tokens"])
-    def test_straight_line_oracle_re_path(self, tokens, span_i, span_j):
+        (["a", "b"], [((0, 1), (1, 2))]),
+        # one call over every pair of four spans, in textual order: six pairs
+        # outnumber the four spans, so the hidden layers project each span once
+        (FIG_TOKENS, list(itertools.combinations([(0, 1), (2, 3), (7, 9), (11, 14)], 2))),
+    ], ids=["figure", "two-tokens", "pairs-outnumber-spans"])
+    def test_straight_line_oracle_re_path(self, tokens, pairs):
         """Independent inline re-implementation of the RE path: context parts
         tokens[:si], tokens[ei:], tokens[:sj], tokens[ej:] through the context
         CNN, entity parts tokens[si:ei], tokens[sj:ej] through the entity CNN."""
@@ -184,17 +187,19 @@ class TestEncode:
         rng = np.random.default_rng(3)
         for tensor in params.all_tensors():  # nonzero biases show in empty parts
             tensor.value[...] = rng.normal(scale=0.5, size=tensor.shape)
-        d, _ = forward_query(Query(sentence, span_i, span_j, "O", "N", "O", 1), params)
+        queries = [Query(sentence, span_i, span_j, "O", "N", "O", 1) for span_i, span_j in pairs]
+        d, _ = forward_sentences([queries], params)
 
-        (si, ei), (sj, ej) = span_i, span_j
-        ctx = np.concatenate([naive_pooled(part, params, "ctx") for part in
-                              (tokens[:si], tokens[ei:], tokens[:sj], tokens[ej:])])
-        entv = np.concatenate([naive_pooled(tokens[si:ei], params, "ent"),
-                               naive_pooled(tokens[sj:ej], params, "ent")])
-        h_ctx = np.tanh(params["re_ctx_w"].value.T @ ctx + params["re_ctx_b"].value)
-        h_ent = np.tanh(params["re_ent_w"].value.T @ entv + params["re_ent_b"].value)
-        expected = params["re_out"].value.T @ np.concatenate([h_ctx, h_ent])
-        assert np.abs(d[1] - expected).max() < 1e-12
+        assert len(d) == len(pairs)
+        for row, ((si, ei), (sj, ej)) in zip(d, pairs):
+            ctx = np.concatenate([naive_pooled(part, params, "ctx") for part in
+                                  (tokens[:si], tokens[ei:], tokens[:sj], tokens[ej:])])
+            entv = np.concatenate([naive_pooled(tokens[si:ei], params, "ent"),
+                                   naive_pooled(tokens[sj:ej], params, "ent")])
+            h_ctx = np.tanh(params["re_ctx_w"].value.T @ ctx + params["re_ctx_b"].value)
+            h_ent = np.tanh(params["re_ent_w"].value.T @ entv + params["re_ent_b"].value)
+            expected = params["re_out"].value.T @ np.concatenate([h_ctx, h_ent])
+            assert np.abs(row[1] - expected).max() < 1e-12
 
     def test_ec_rows_share_parameters(self):
         # two queries in one sentence where e1-parts of one equal e2-parts of

@@ -14,7 +14,7 @@ from entrel.model import (
     load_checkpoint,
     predict_queries,
 )
-from entrel.querygen import ConfigError, gen_setup1, gen_setup2, subsample_negatives
+from entrel.querygen import ConfigError, gen_setup1, gen_setup2, gen_setup3, subsample_negatives
 from entrel.training import (
     GradCheckReport,
     TrainConfig,
@@ -98,6 +98,13 @@ def shared_sentence_batch():
     by_sentence = [[q for q in queries if q.sentence is s] for s in sentences]
     first, second, third = by_sentence
     return [first[0], second[0], first[1], third[-1], second[0]]
+
+
+def setup3_table_batch():
+    """The setup-3 table of the first sentence of build()'s corpus: its 15
+    queries pair 6 spans, so pairs outnumber spans in the hidden layers."""
+    queries, _ = gen_setup3(synth.generate(synth.default_grammar(seed=3), 1))
+    return queries
 
 
 class TestBatchedLossAndBackward:
@@ -339,8 +346,9 @@ class TestGradCheck:
     @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
     def test_batch_sharing_sentences_passes(self, output_layer):
         params, *_ = build(output_layer=output_layer)
-        report = grad_check(params, shared_sentence_batch(), l2=1e-3)
-        assert report.passed, report.errors
+        for batch in (shared_sentence_batch(), setup3_table_batch()):
+            report = grad_check(params, batch, l2=1e-3)
+            assert report.passed, report.errors
 
     def test_softmax_path_passes(self):
         params, train_q, *_ = build(n_sentences=16, output_layer="softmax")
