@@ -140,7 +140,6 @@ def cmd_train(args) -> int:
     table = _build_table(train_sentences + dev_sentences, args, hyper, config.seed)
     params = model.init_params(hyper, LabelSpace(), table, seed=args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.dump_queries:
         dump_queries(args.dump_queries, train_queries)
 
@@ -160,18 +159,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_and_check(checkpoint):
-    params, meta = model.load_checkpoint(checkpoint)
-    expected = LabelSpace()
-    ls = params.label_space
-    if ls.ec_labels != expected.ec_labels or ls.re_labels != expected.re_labels:
-        raise RuntimeError(
-            "checkpoint label space does not match this build: "
-            f"{ls.ec_labels}/{ls.re_labels}"
-        )
-    return params, meta
-
-
 @contextmanager
 def _running(checkpoint):
     """Prefix a RuntimeError raised while a checkpoint's model runs, such as
@@ -183,7 +170,7 @@ def _running(checkpoint):
 
 
 def cmd_eval(args) -> int:
-    params, _ = _load_and_check(args.checkpoint)
+    params, _ = model.load_checkpoint(args.checkpoint)
     sentences = load_canonical(args.corpus)
     queries = _generate_queries(sentences, args.setup)
     ls = params.label_space
@@ -218,7 +205,7 @@ def _parse_span(text):
 
 
 def cmd_predict(args) -> int:
-    params, _ = _load_and_check(args.checkpoint)
+    params, _ = model.load_checkpoint(args.checkpoint)
     tokens = args.sentence.split()
     span_i = _parse_span(args.span1)
     span_j = _parse_span(args.span2)
@@ -258,7 +245,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect_transitions(args) -> int:
-    params, _ = _load_and_check(args.checkpoint)
+    params, _ = model.load_checkpoint(args.checkpoint)
     report = analysis.inspect_transitions(params.transitions.value,
                                           params.label_space, args.threshold)
     print(f"transitions above {report.threshold}: {len(report.edges)}")
@@ -269,7 +256,7 @@ def cmd_inspect_transitions(args) -> int:
 
 
 def cmd_disagreement(args) -> int:
-    params, _ = _load_and_check(args.checkpoint)
+    params, _ = model.load_checkpoint(args.checkpoint)
     sentences = load_canonical(args.corpus)
     queries = _generate_queries(sentences, args.setup)
     with _running(args.checkpoint):

@@ -41,11 +41,12 @@ class LabelSpace:
 
     Entity class i keeps index i; relation class j maps to n_ec + j. The
     begin and end tags used by the transition matrix sit past the classes
-    and never appear in emission scores.
+    and never appear in emission scores. There is one label space, over
+    EC_LABELS and RE_LABELS; model.load_checkpoint refuses any other.
     """
 
-    ec_labels: tuple = EC_LABELS
-    re_labels: tuple = RE_LABELS
+    ec_labels = EC_LABELS
+    re_labels = RE_LABELS
 
     @property
     def n_ec(self) -> int:
@@ -207,11 +208,11 @@ def _split_fields(line: str):
 def parse_raw(path, column_map: ColumnMap | None = None):
     """Parse a raw column-format corpus file into Sentence objects."""
     cmap = column_map or ColumnMap()
-    ls = LabelSpace()
     needed = max(cmap.sent_col, cmap.tag_col, cmap.idx_col, cmap.word_col) + 1
 
     sentences = []
-    seen_ids = {}
+    emitted = set()  # the sentence ids given out so far
+    next_suffix = {}  # raw id -> the first suffix number left to try
     rows = []  # (line_no, row_index, tag, words)
     rels = []  # (line_no, row_a, row_b, label)
     block_sent_field = None
@@ -229,23 +230,28 @@ def parse_raw(path, column_map: ColumnMap | None = None):
             start = len(tokens)
             tokens.extend(words)
             if tag != "O":
-                if tag not in ls.ec_labels:
+                if tag not in EC_LABELS:
                     raise CorpusError(f"unknown entity label {tag!r}", path, ln)
                 row_to_entity[row_idx] = len(entities)
                 entities.append(EntityMention(start, len(tokens), tag))
         relations = []
         for ln, a, b, label in rels:
-            if label not in ls.re_labels or label == NO_RELATION:
+            if label not in RE_LABELS or label == NO_RELATION:
                 raise CorpusError(f"unknown relation label {label!r}", path, ln)
             if a not in row_to_entity or b not in row_to_entity:
                 raise CorpusError(
                     f"relation ({a},{b},{label}) references a non-entity row", path, ln
                 )
             relations.append(RelationAnnotation(row_to_entity[a], row_to_entity[b], label))
+        # a repeated raw id gets the first suffix .N that no emitted id holds
         raw_id = str(block_sent_field)
-        count = seen_ids.get(raw_id, 0)
-        seen_ids[raw_id] = count + 1
+        count = next_suffix.get(raw_id, 0)
         sid = raw_id if count == 0 else f"{raw_id}.{count}"
+        while sid in emitted:
+            count += 1
+            sid = f"{raw_id}.{count}"
+        next_suffix[raw_id] = count + 1
+        emitted.add(sid)
         sentence = Sentence(sid, tokens, entities, relations)
         try:
             sentence.validate()
@@ -436,13 +442,13 @@ def corpus_vocabulary(sentences):
     return sorted(words)
 
 
-def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> EmbeddingTable:
+def load_embeddings(path, vocab, rng, trainable=True, dtype=np.float64) -> EmbeddingTable:
     """Load word2vec text-format vectors for the given vocabulary.
 
     Format: header line "<count> <dim>", then one "word v1 ... v_dim" line
     per word. Corpus words found in the file (exact case first, lowercase
     second) get their own rows; the rest share one UNK row drawn from the
-    standard init (zeros if no rng is given).
+    standard init with ``rng``.
     """
     vocab = list(vocab)
     wanted = set(vocab) | {w.lower() for w in vocab}
@@ -476,8 +482,7 @@ def load_embeddings(path, vocab, rng=None, trainable=True, dtype=np.float64) -> 
 
     matrix = np.zeros((len(vocab) + 1, dim), dtype=dtype)
     unk_row = len(vocab)
-    if rng is not None:
-        matrix[unk_row] = scaled_uniform(rng, (dim,), dim, dim, dtype=dtype)
+    matrix[unk_row] = scaled_uniform(rng, (dim,), dim, dim, dtype=dtype)
     table_vocab = {}
     row = 0
     for word in vocab:

@@ -9,8 +9,8 @@ extra rows/columns are the begin tag (index N) and end tag (index N+1).
 Every function takes a batch of score sequences d [B, 3, N] (B = 1 for one
 sequence) and treats each row as it would alone. The loss, its gradients and
 decoding all read the score of every path, an [N, N, N] cube per row.
-SEQ_LEN is 3 and the CLI loads only checkpoints over the 11-class unified
-label space, so the cube holds 11^3 = 1,331 paths.
+SEQ_LEN is 3 and model.load_checkpoint loads only checkpoints over the
+11-class unified label space, so the cube holds 11^3 = 1,331 paths.
 
 All functions are pure given (d, Q) and safe to call concurrently.
 """

@@ -10,6 +10,10 @@ Entity decisions come from one vote pass over the queries: each (sentence,
 span) gets its gold label, its votes and their majority. Gold relations come
 from the queries in setups 1 and 2, and from corpus.related_pairs in setup
 3, the rule the queries' gold labels were generated with.
+
+Scoring needs the corpus the queries came from: setup 3 counts every gold
+entity and relation of each sentence, also of one that negative subsampling
+left without a query.
 """
 
 from collections import Counter
@@ -246,15 +250,14 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
     return _report_from_decisions(ec_decisions, re_decisions, ls, omit_other, diagnostics)
 
 
-def score_queries(queries, predictions, setup: int, label_space: LabelSpace | None = None,
-                  sentences=None, omit_other: bool = False) -> MetricsReport:
-    """Setup-aware scoring entry point used by training and the CLI."""
-    ls = label_space or LabelSpace()
+def score_queries(queries, predictions, setup: int, label_space: LabelSpace,
+                  sentences, omit_other: bool = False) -> MetricsReport:
+    """Setup-aware scoring entry point used by training and the CLI, over
+    ``sentences``, the corpus the queries came from."""
+    ls = label_space
     if setup in (1, 2):
         return score_paired(queries, predictions, ls, omit_other)
     if setup == 3:
-        if sentences is None:
-            sentences = list({q.sentence_id: q.sentence for q in queries}.values())
         voted = _entity_votes(queries, predictions)
         names = ls.class_labels
         no_relation, other = ls.unified(NO_RELATION), ls.unified("O")

@@ -605,7 +605,7 @@ PARAMS_NAME = "params.bin"
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
 # the keys save_checkpoint writes, besides the optional "extra", with the JSON
 # type of each value that load_checkpoint reads
-_MANIFEST_KEYS = {"format": None, "seed": None, "dtype": str, "hyperparams": dict,
+_MANIFEST_KEYS = {"format": int, "seed": None, "dtype": str, "hyperparams": dict,
                   "ec_labels": list, "re_labels": list, "vocab": list, "unk_row": int,
                   "embeddings_trainable": bool, "tensors": list, "total_bytes": int}
 _ENTRY_KEYS = {"name": str, "shape": list, "offset": int}
@@ -619,12 +619,12 @@ def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | Non
     code = _DTYPE_CODES[hyper.dtype]
     entries = []
     offset = 0
-    blobs = []
-    for tensor in params.all_tensors():
-        data = np.ascontiguousarray(tensor.value, dtype=code).tobytes()
-        entries.append({"name": tensor.name, "shape": list(tensor.shape), "offset": offset})
-        offset += len(data)
-        blobs.append(data)
+    # each tensor is written as it is serialized; the payload is never held
+    # whole beside the model
+    with open(directory / PARAMS_NAME, "wb") as handle:
+        for tensor in params.all_tensors():
+            entries.append({"name": tensor.name, "shape": list(tensor.shape), "offset": offset})
+            offset += handle.write(np.ascontiguousarray(tensor.value, dtype=code).data)
     table = params.embeddings
     manifest = {
         "format": 1,
@@ -641,9 +641,6 @@ def save_checkpoint(directory, params: ModelParams, seed: int, extra: dict | Non
     }
     if extra:
         manifest["extra"] = extra
-    with open(directory / PARAMS_NAME, "wb") as handle:
-        for blob in blobs:
-            handle.write(blob)
     with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
@@ -675,7 +672,8 @@ def _require(path, ok: bool, what: str):
 
 def load_checkpoint(directory):
     """Load a checkpoint directory; validates the manifest's keys and value
-    types, then the tensor names and shapes against the model the manifest
+    types, its format and its label set (LabelSpace, the only one), then
+    the tensor names and shapes against the model the manifest
     describes and the vocabulary's embedding rows, then that every tensor
     value is finite."""
     directory = Path(directory)
@@ -685,9 +683,12 @@ def load_checkpoint(directory):
     _check_keys(manifest_path, "manifest", manifest, _MANIFEST_KEYS, optional=("extra",))
     _check_keys(manifest_path, "hyperparams", manifest["hyperparams"],
                 {f.name: f.type for f in fields(HyperParams)})
-    for key in ("ec_labels", "re_labels"):
-        _require(manifest_path, all(type(label) is str for label in manifest[key]),
-                 f"{key} holds a label that is not a string")
+    _require(manifest_path, manifest["format"] == 1,
+             f"format {manifest['format']} is not 1, the one format this build reads")
+    ls = LabelSpace()
+    for key, labels in (("ec_labels", ls.ec_labels), ("re_labels", ls.re_labels)):
+        _require(manifest_path, manifest[key] == list(labels),
+                 f"{key} {manifest[key]} is not the label set {list(labels)}")
     for entry in manifest["tensors"]:
         _check_keys(manifest_path, "tensor entry", entry, _ENTRY_KEYS)
         _require(manifest_path, entry["offset"] >= 0
@@ -703,7 +704,6 @@ def load_checkpoint(directory):
     if hyper.dtype != manifest["dtype"]:
         raise ValueError(f"{manifest_path}: dtype {manifest['dtype']} disagrees with "
                          f"hyperparams dtype {hyper.dtype}")
-    ls = LabelSpace(tuple(manifest["ec_labels"]), tuple(manifest["re_labels"]))
     path = directory / PARAMS_NAME
     size = path.stat().st_size
     if size != manifest["total_bytes"]:

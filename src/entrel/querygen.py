@@ -12,8 +12,10 @@ order. A row is labelled with the type of the gold entity that holds it (O
 if none). A cell's gold relation is that of the entity pair holding its two
 rows, as corpus.related_pairs decides it: where several relations share a
 pair, the canonically first label wins, together with its direction. When
-the annotated head is the later span, the query carries inverse=True so
-direction survives aggregation.
+the annotated head is the later span, the query carries inverse=True. No
+model input or scorer reads it: the labels are undirected, and setup-3
+scoring drops the direction that corpus.related_pairs gives. Only
+dump_queries (``entrel train --dump-queries``) writes it out.
 
 gen_setup1 builds no table and returns the queries alone. gen_setup2/3
 still return (queries, tables), because

@@ -114,23 +114,27 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
 
 
 def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainConfig,
-               out_dir=None, dev_sentences=None, log_path=None) -> TrainState:
+               out_dir, dev_sentences, log_path) -> TrainState:
     """Epochs of seeded shuffled mini-batches with dev-driven lr halving.
 
-    After each epoch the dev Avg EC+RE is computed; when it drops below the
-    previous epoch's value the learning rate halves. The best-on-dev
-    checkpoint is kept alongside the final one. Stops at max_epochs or when
-    the learning rate falls below LR_FLOOR.
+    After each epoch the dev Avg EC+RE is computed over ``dev_sentences``;
+    when it drops below the previous epoch's value the learning rate halves.
+    The best-on-dev checkpoint is kept in ``out_dir`` alongside the final
+    one. Each epoch's record is appended to ``log_path`` as the epoch ends.
+    Stops at max_epochs or when the learning rate falls below LR_FLOOR.
 
     A batch whose loss, backward or step fails raises a RuntimeError naming
     the epoch, the batch and its sentences. The parameters are then still
-    those from before that batch; with ``out_dir`` they are first saved as
-    the final checkpoint, its ``extra`` naming the epoch and the batch.
+    those from before that batch; they are first saved as the final
+    checkpoint, its ``extra`` naming the epoch and the batch. The log keeps
+    the records of the epochs before it.
     """
     if not train_queries:
         raise ConfigError("empty train set")
     ls = params.label_space
-    out_dir = Path(out_dir) if out_dir is not None else None
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(log_path).write_text("", encoding="utf-8")
     state = TrainState(lr=config.learning_rate)
     rng = np.random.default_rng((config.seed, 1))
     prev_metric = None
@@ -146,9 +150,8 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
                 sgd_step(params, state.lr, config.l2)
             except RuntimeError as exc:
                 ids = ", ".join(dict.fromkeys(query.sentence_id for query in batch))
-                if out_dir is not None:
-                    save_checkpoint(out_dir / "final", params, config.seed,
-                                    extra={"epoch": epoch, "batch": number})
+                save_checkpoint(out_dir / "final", params, config.seed,
+                                extra={"epoch": epoch, "batch": number})
                 raise RuntimeError(f"epoch {epoch}, batch {number} (sentences {ids}): "
                                    f"{exc}") from None
         train_loss = epoch_loss / len(train_queries)
@@ -163,10 +166,8 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
         improved = state.best_metric is None or metric > state.best_metric
         if improved:
             state.best_metric = metric
-            if out_dir is not None:
-                best = out_dir / "best"
-                save_checkpoint(best, params, config.seed, extra={"epoch": epoch})
-                state.best_path = str(best)
+            state.best_path = str(out_dir / "best")
+            save_checkpoint(state.best_path, params, config.seed, extra={"epoch": epoch})
 
         halved = prev_metric is not None and metric < prev_metric
         lr_used = state.lr
@@ -186,19 +187,14 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
             "improved": improved,
         }
         state.log.append(record)
+        with open(log_path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
         if state.lr < LR_FLOOR:
             break
 
-    if out_dir is not None:
-        save_checkpoint(out_dir / "final", params, config.seed,
-                        extra={"epoch": state.epoch})
-        if state.best_path is None:
-            state.best_path = str(out_dir / "final")
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as handle:
-            for record in state.log:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
+    save_checkpoint(out_dir / "final", params, config.seed, extra={"epoch": state.epoch})
+    if state.best_path is None:
+        state.best_path = str(out_dir / "final")
     return state
 
 

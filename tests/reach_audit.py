@@ -108,6 +108,13 @@ def run_commands(out: Path):
         ["inspect-transitions", "--checkpoint", checkpoint],
         ["disagreement", "--checkpoint", checkpoint, "--corpus", out / "dev.jsonl",
          "--setup", 2],
+        # an untrained model's entity votes disagree and tie, as a tuned
+        # model's do on the benchmark-size setup-2/3 eval sets; the tiny
+        # trained model above is unanimous
+        ["train", "--train", out / "train.jsonl", "--out", out / "untrained",
+         "--max-epochs", 0, *TINY_FLAGS],
+        ["eval", "--checkpoint", out / "untrained" / "final", "--corpus", out / "dev.jsonl",
+         "--setup", 3],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -331,10 +331,16 @@ def test_missing_subcommand_and_bad_span_exit_2(checkpoint):
     (lambda m: m["tensors"][0].update(name=[0]), "tensor entry name is not of type str"),
     (lambda m: m["hyperparams"].update(k="2"), "hyperparams k is not of type int"),
     (lambda m: m.update(embeddings_trainable="no"), "embeddings_trainable is not of type bool"),
+    (lambda m: m.update(format=2), "format 2 is not 1, the one format this build reads"),
+    (lambda m: m.update(format=True), "manifest format is not of type int"),
+    (lambda m: m["ec_labels"].remove("Other"),
+     "ec_labels ['Peop', 'Org', 'Loc', 'O'] is not the label set "
+     "['Peop', 'Org', 'Loc', 'Other', 'O']"),
 ], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key", "vocab-row-past-table",
         "negative-vocab-row", "vocab-not-a-list", "vocab-entry-not-a-pair", "unk-row-past-table",
         "labels-not-a-list", "shape-not-a-list", "negative-offset", "negative-size",
-        "name-not-a-string", "hyperparam-as-text", "trainable-not-a-bool"])
+        "name-not-a-string", "hyperparam-as-text", "trainable-not-a-bool", "other-format",
+        "format-not-an-int", "other-label-set"])
 def test_malformed_manifest_exits_1_with_one_line(checkpoint, tmp_path, capsys, corrupt, ending):
     broken = tmp_path / "ck"
     shutil.copytree(checkpoint, broken)

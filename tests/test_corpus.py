@@ -127,6 +127,19 @@ class TestParseRaw:
         assert [s.tokens for s in sentences] == [["a"], ["b"]]
         assert len({s.id for s in sentences}) == 2
 
+    def test_repeated_raw_id_takes_a_suffix_no_sentence_holds(self, tmp_path):
+        # blocks 5, 5, 5.1: the second 5 takes 5.1, so the raw 5.1 after it
+        # must take another id
+        path = tmp_path / "raw.corp"
+        path.write_text("".join(f"{sid}\tPeop\t0\tO\tNNP\t{word}\tO\tO\tO\n\n"
+                                for sid, word in (("5", "a"), ("5", "b"), ("5.1", "c"))))
+        sentences = parse_raw(path)
+        assert [(s.id, s.tokens) for s in sentences] == [
+            ("5", ["a"]), ("5.1", ["b"]), ("5.1.1", ["c"])]
+        out = tmp_path / "canon.jsonl"
+        write_canonical(out, sentences)
+        assert load_canonical(out) == sentences
+
     def test_column_map_variation(self, tmp_path):
         path = tmp_path / "raw.corp"
         path.write_text("0\tsent1\tLoc\tfoo\n", encoding="utf-8")
@@ -275,7 +288,7 @@ class TestEmbeddings:
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 2, 3, 4]), ("b", [5, 6, 7, 8]), ("c", [0, 0, 0, 1])], 4)
-        table = load_embeddings(path, ["a", "b"])
+        table = load_embeddings(path, ["a", "b"], np.random.default_rng(0))
         assert table.dim == 4
         assert np.allclose(table.matrix[table.lookup("a")], [1, 2, 3, 4])
         assert np.allclose(table.matrix[table.lookup("b")], [5, 6, 7, 8])
@@ -283,14 +296,14 @@ class TestEmbeddings:
     def test_absent_word_maps_to_unk(self, tmp_path):
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 2])], 2)
-        table = load_embeddings(path, ["a", "zzz"])
+        table = load_embeddings(path, ["a", "zzz"], np.random.default_rng(0))
         assert table.lookup("zzz") == table.unk_row
         assert table.lookup("a") != table.unk_row
 
     def test_lowercase_fallback_after_exact(self, tmp_path):
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("Paris", [1, 0]), ("paris", [0, 1])], 2)
-        table = load_embeddings(path, ["Paris", "PARIS"])
+        table = load_embeddings(path, ["Paris", "PARIS"], np.random.default_rng(0))
         assert np.allclose(table.matrix[table.lookup("Paris")], [1, 0])
         assert np.allclose(table.matrix[table.lookup("PARIS")], [0, 1])
 
@@ -298,7 +311,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("2 3\na 1 2 3\nb 1 2\n")
         with pytest.raises(CorpusError, match=":3"):
-            load_embeddings(path, ["a", "b"])
+            load_embeddings(path, ["a", "b"], np.random.default_rng(0))
 
     @pytest.mark.parametrize("value, message", [
         ("nan", "row of 'b' holds the non-finite value 'nan'"),
@@ -310,22 +323,22 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 2]), ("b", [3, value])], 2)
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
-            load_embeddings(path, ["a", "b"])
+            load_embeddings(path, ["a", "b"], np.random.default_rng(0))
 
     def test_value_outside_float32_range_is_named(self, tmp_path):
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 2]), ("b", [3, "-1e39"])], 2)
         message = "row of 'b' holds '-1e39', outside the float32 range (±3.403e+38)"
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
-            load_embeddings(path, ["a", "b"], dtype=np.float32)
-        table = load_embeddings(path, ["a", "b"])  # float64 holds it
+            load_embeddings(path, ["a", "b"], np.random.default_rng(0), dtype=np.float32)
+        table = load_embeddings(path, ["a", "b"], np.random.default_rng(0))  # float64 holds it
         assert table.matrix[table.lookup("b"), 1] == -1e39
 
     def test_largest_float32_value_loads(self, tmp_path):
         path = tmp_path / "vec.txt"
         big = float(np.finfo(np.float32).max)
         write_embeddings(path, [("a", [big, -big])], 2)
-        table = load_embeddings(path, ["a"], dtype=np.float32)
+        table = load_embeddings(path, ["a"], np.random.default_rng(0), dtype=np.float32)
         assert table.matrix.dtype == np.float32
         assert table.matrix[table.lookup("a")].tolist() == [big, -big]
 
@@ -333,7 +346,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 2]), ("zz", [3, 4]), ("a", [5, 6])], 2)
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:4: word 'a' repeats the row on line 2$"):
-            load_embeddings(path, ["a", "b"])
+            load_embeddings(path, ["a", "b"], np.random.default_rng(0))
 
     @pytest.mark.parametrize("content", [b"2\na 1 2\n", b"2 0\n", b"x 2\n", b"",
                                          b"1 2\na 1 \xff\n"],
@@ -342,12 +355,21 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_bytes(content)
         with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:[12]: "):
-            load_embeddings(path, ["a"])
+            load_embeddings(path, ["a"], np.random.default_rng(0))
+
+    def test_unk_row_is_drawn_from_the_rng(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        write_embeddings(path, [("a", [1, 2, 3, 4])], 4)
+        tables = [load_embeddings(path, ["a", "zzz"], np.random.default_rng(seed))
+                  for seed in (0, 0, 1)]
+        unk = [table.matrix[table.lookup("zzz")] for table in tables]
+        assert np.abs(unk[0]).min() > 0
+        assert np.array_equal(unk[0], unk[1]) and not np.array_equal(unk[0], unk[2])
 
     def test_full_coverage_counts_zero_unk(self, tmp_path):
         path = tmp_path / "vec.txt"
         write_embeddings(path, [("a", [1, 0]), ("b", [0, 1])], 2)
-        table = load_embeddings(path, ["a", "b"])
+        table = load_embeddings(path, ["a", "b"], np.random.default_rng(0))
         assert table.unk_row == 2
         assert np.array_equal(table.matrix[[table.lookup("a"), table.lookup("b")]],
                               [[1, 0], [0, 1]])

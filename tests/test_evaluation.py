@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from entrel import synth
 from entrel.analysis import disagreement_report
-from entrel.corpus import NO_RELATION, RE_LABELS, LabelSpace, Sentence, EntityMention, RelationAnnotation
+from entrel.corpus import (NO_RELATION, RE_LABELS, EntityMention, LabelSpace, RelationAnnotation,
+                           Sentence, related_pairs)
 from entrel.evaluation import (
     ClassCounts,
     MetricsReport,
@@ -150,7 +151,8 @@ class TestScorePaired:
     def test_perfect_setup2(self, label_space):
         sentences = synth.generate(synth.default_grammar(seed=5), 15)
         queries, _ = gen_setup2(sentences)
-        report = score_queries(queries, perfect_predictions(queries, label_space), 2)
+        report = score_queries(queries, perfect_predictions(queries, label_space), 2,
+                               label_space, sentences)
         assert report.avg_ec_re == 1.0
 
     def test_majority_vote_aggregation(self, label_space):
@@ -334,6 +336,20 @@ class TestScoreSetup3:
         preds = perfect_predictions(queries, label_space)
         report = score_queries(queries, preds, 3, label_space, sentences)
         assert report.avg_ec_re == 1.0
+
+    def test_setup3_counts_a_sentence_no_query_reaches(self, label_space):
+        # gold predictions for the first sentence's queries only: the second
+        # sentence's entities and relation are all missed
+        sentences = synth.generate(synth.default_grammar(seed=9), 2)
+        queries = [q for q in gen_setup3(sentences)[0] if q.sentence is sentences[0]]
+        report = score_queries(queries, perfect_predictions(queries, label_space), 3,
+                               label_space, sentences)
+        missed = Counter(ent.type for ent in sentences[1].entities)
+        missed.update(label for label, _ in related_pairs(sentences[1]).values())
+        assert missed
+        for cls, counts in report.counts.items():
+            if cls != "O":  # each missed entity is predicted O
+                assert (counts.fp, counts.fn) == (0, missed[cls]), cls
 
 
 def plain_votes(queries, predictions, ls):

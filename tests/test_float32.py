@@ -51,6 +51,12 @@ from test_model import predict_world
 LAYERS = ("crf", "softmax")
 
 
+def fit(params, queries, config, out):
+    """train_loop without a dev set, writing its checkpoints and log under ``out``."""
+    return train_loop(params, queries, [], config, out_dir=out, dev_sentences=[],
+                      log_path=out / "log.jsonl")
+
+
 def cast(params: ModelParams, dtype: str) -> ModelParams:
     """The same model with every tensor rounded to ``dtype``."""
     hyper = dataclasses.replace(params.hyper, dtype=dtype)
@@ -142,11 +148,11 @@ class TestAgreesWithFloat64:
         assert len(set(preds)) > 1
 
     @pytest.mark.parametrize("output_layer", LAYERS)
-    def test_train_losses(self, output_layer):
+    def test_train_losses(self, output_layer, tmp_path):
         logs = {}
         for dtype in ("float64", "float32"):
             params, queries = build(dtype, output_layer)
-            state = train_loop(params, queries, [], TrainConfig(max_epochs=4, seed=2))
+            state = fit(params, queries, TrainConfig(max_epochs=4, seed=2), tmp_path / dtype)
             logs[dtype] = [record["train_loss"] for record in state.log]
         assert len(logs["float32"]) == 4
         for loss32, loss64 in zip(logs["float32"], logs["float64"]):
@@ -225,7 +231,7 @@ class TestStaysFloat32:
 class TestCheckpoints:
     def test_float32_round_trip_is_bit_identical(self, tmp_path):
         params, queries = build("float32")
-        train_loop(params, queries[:20], [], TrainConfig(max_epochs=1, seed=2))
+        fit(params, queries[:20], TrainConfig(max_epochs=1, seed=2), tmp_path / "run")
         save_checkpoint(tmp_path / "a", params, seed=2)
         loaded, _ = load_checkpoint(tmp_path / "a")
         assert loaded.hyper == params.hyper
@@ -243,7 +249,7 @@ class TestCheckpoints:
 
     def test_float64_checkpoint_still_runs_in_float64(self, tmp_path, capsys):
         params, queries = build("float64")
-        train_loop(params, queries[:20], [], TrainConfig(max_epochs=1, seed=2))
+        fit(params, queries[:20], TrainConfig(max_epochs=1, seed=2), tmp_path / "run")
         save_checkpoint(tmp_path / "ck", params, seed=2)
         sentences = synth.generate(synth.default_grammar(seed=4), 6)
         corpus = tmp_path / "dev.jsonl"

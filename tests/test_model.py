@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -655,6 +657,23 @@ class TestCheckpoint:
             tmp_path / "b/manifest.json"
         ).read_bytes()
 
+    def test_save_holds_no_copy_of_the_payload(self, tmp_path):
+        """An s2-size float32 model is written from its tensors' own buffers:
+        the save allocates less than half its largest tensor."""
+        params = make_params(seed=18, **dataclasses.asdict(HyperParams.defaults_for(2, "crf")))
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "ck", params, seed=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = max(tensor.value.nbytes for tensor in params.all_tensors())
+        assert largest == params["re_ctx_w"].value.nbytes
+        assert peak < largest / 2, (peak, largest)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        for ta, tb in zip(params.all_tensors(), loaded.all_tensors()):
+            assert np.array_equal(ta.value, tb.value), ta.name
+
     def test_shape_validation(self, tmp_path):
         params = make_params(seed=14)
         save_checkpoint(tmp_path / "ck", params, seed=14)
@@ -693,9 +712,12 @@ class TestCheckpoint:
          "hyperparams: unknown dtype 'float16'"),
         (lambda m: m["hyperparams"].update(dtype="float32"),
          "dtype float64 disagrees with hyperparams dtype float32"),
+        (lambda m: m["re_labels"].reverse(),
+         "re_labels ['N', 'Kill', 'Live_in', 'OrgBased_in', 'Work_for', 'Located_in'] is not "
+         "the label set ['Located_in', 'Work_for', 'OrgBased_in', 'Live_in', 'Kill', 'N']"),
     ], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key", "unknown-key",
             "missing-entry-key", "unknown-dtype", "unknown-hyperparams-dtype",
-            "dtypes-disagree"])
+            "dtypes-disagree", "other-label-set"])
     def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, message):
         params = make_params(seed=17)
         save_checkpoint(tmp_path / "ck", params, seed=17)

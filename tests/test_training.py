@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +39,12 @@ def build(seed=5, n_sentences=60, trainable=True, **hyper_overrides):
                               np.random.default_rng(seed + 50), trainable)
     params = init_params(hyper, ls, table, seed=seed)
     return params, gen_setup1(train_s), gen_setup1(dev_s), dev_s
+
+
+def train(params, train_q, dev_q, dev_s, config, out):
+    """train_loop writing its checkpoints and log.jsonl under ``out``."""
+    return train_loop(params, train_q, dev_q, config, out_dir=out, dev_sentences=dev_s,
+                      log_path=out / "log.jsonl")
 
 
 class TestSgdStep:
@@ -184,8 +192,8 @@ class TestAllocation:
 
 
 class TestTrainLoop:
-    def test_failed_step_names_its_batch_and_moves_nothing(self, monkeypatch):
-        params, train_q, dev_q, _ = build(n_sentences=20)
+    def test_failed_step_names_its_batch_and_moves_nothing(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
         batches, before = [], {}
         real_loss, real_step = training.query_loss_and_backward, training.sgd_step
 
@@ -202,7 +210,8 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "query_loss_and_backward", recording_loss)
         monkeypatch.setattr(training, "sgd_step", poisoning_step)
         with pytest.raises(RuntimeError) as failure:
-            train_loop(params, train_q, dev_q, TrainConfig(max_epochs=1, seed=1, batch_size=4))
+            train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=1, seed=1, batch_size=4),
+                  tmp_path)
         ids = ", ".join(dict.fromkeys(query.sentence_id for query in batches[2]))
         assert str(failure.value) == (f"epoch 1, batch 3 (sentences {ids}): "
                                       "non-finite gradient in tensor ec_out")
@@ -210,7 +219,7 @@ class TestTrainLoop:
             assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
 
     def test_failed_step_saves_the_parameters_from_before_it(self, monkeypatch, tmp_path):
-        params, train_q, dev_q, _ = build(n_sentences=20)
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
         steps, before = [], {}
         real_step = training.sgd_step
 
@@ -223,40 +232,64 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "sgd_step", poisoning_step)
         with pytest.raises(RuntimeError, match="^epoch 1, batch 3 "):
-            train_loop(params, train_q, dev_q, TrainConfig(max_epochs=1, seed=1, batch_size=4),
-                       out_dir=tmp_path)
+            train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=1, seed=1, batch_size=4),
+                  tmp_path)
         saved, meta = load_checkpoint(tmp_path / "final")
         assert meta["extra"] == {"epoch": 1, "batch": 3}
         for tensor in saved.all_tensors():
             assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
         assert not (tmp_path / "best").exists()
+        assert (tmp_path / "log.jsonl").read_text() == ""
 
-    def test_empty_train_set_is_config_error(self):
+    def test_failed_step_keeps_the_log_of_the_epochs_before_it(self, monkeypatch, tmp_path):
+        config = TrainConfig(max_epochs=3, seed=1, batch_size=4)
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
+        done = train(params, train_q, dev_q, dev_s, replace(config, max_epochs=1),
+                     tmp_path / "one")
+        per_epoch = -(-len(train_q) // config.batch_size)
+        steps = []
+        real_step = training.sgd_step
+
+        def poisoning_step(params, lr, l2):
+            steps.append(lr)
+            if len(steps) == per_epoch + 1:  # the first batch of epoch 2
+                params["ec_out"].grad[0, 0] = np.nan
+            real_step(params, lr, l2)
+
+        monkeypatch.setattr(training, "sgd_step", poisoning_step)
+        params, *_ = build(n_sentences=20)
+        with pytest.raises(RuntimeError, match="^epoch 2, batch 1 "):
+            train(params, train_q, dev_q, dev_s, config, tmp_path / "failed")
+        log = (tmp_path / "failed" / "log.jsonl").read_text()
+        assert len(log.splitlines()) == 1
+        assert log == (tmp_path / "one" / "log.jsonl").read_text()
+        assert json.loads(log) == done.log[0]
+
+    def test_empty_train_set_is_config_error(self, tmp_path):
         params, *_ = build()
         with pytest.raises(ConfigError, match="empty train set"):
-            train_loop(params, [], [], TrainConfig(max_epochs=1))
+            train(params, [], [], [], TrainConfig(max_epochs=1), tmp_path)
 
     def test_zero_epochs_returns_initialized_params(self, tmp_path):
-        params, train_q, dev_q, _ = build()
+        params, train_q, dev_q, dev_s = build()
         before = {t.name: t.value.copy() for t in params.all_tensors()}
-        state = train_loop(params, train_q, dev_q, TrainConfig(max_epochs=0),
-                           out_dir=tmp_path, log_path=tmp_path / "log.jsonl")
+        state = train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=0), tmp_path)
         assert state.log == []
         assert (tmp_path / "log.jsonl").read_text() == ""
         assert (tmp_path / "final" / "manifest.json").exists()
         for tensor in params.all_tensors():
             assert np.array_equal(tensor.value, before[tensor.name])
 
-    def test_lr_halves_on_dev_regression(self, monkeypatch):
-        params, train_q, dev_q, _ = build(n_sentences=20)
+    def test_lr_halves_on_dev_regression(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
         metrics = iter([0.5, 0.8, 0.6, 0.7])
 
-        def fake_score(queries, preds, setup, ls, sentences=None, omit_other=False):
+        def fake_score(queries, preds, setup, ls, sentences, omit_other=False):
             m = next(metrics)
             return MetricsReport({}, {}, m, m, m)
 
         monkeypatch.setattr(training, "score_queries", fake_score)
-        state = train_loop(params, train_q, dev_q, TrainConfig(max_epochs=4, seed=1))
+        state = train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=4, seed=1), tmp_path)
         records = state.log
         assert [r["halved"] for r in records] == [False, False, True, False]
         assert records[2]["lr"] == pytest.approx(0.1)
@@ -267,25 +300,25 @@ class TestTrainLoop:
         assert state.best_metric == pytest.approx(0.8)
         assert [r["improved"] for r in records] == [True, True, False, False]
 
-    def test_lr_floor_stops_training(self, monkeypatch):
-        params, train_q, dev_q, _ = build(n_sentences=20)
+    def test_lr_floor_stops_training(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
         metrics = iter([1.0 / (i + 1) for i in range(40)])  # strictly decreasing
 
-        def fake_score(queries, preds, setup, ls, sentences=None, omit_other=False):
+        def fake_score(queries, preds, setup, ls, sentences, omit_other=False):
             m = next(metrics)
             return MetricsReport({}, {}, m, m, m)
 
         monkeypatch.setattr(training, "score_queries", fake_score)
         monkeypatch.setattr(training, "LR_FLOOR", 1e-3)
-        state = train_loop(params, train_q, dev_q, TrainConfig(max_epochs=40, seed=1))
+        state = train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=40, seed=1), tmp_path)
         assert state.epoch < 40
         assert state.lr < 1e-3
         lrs = [r["lr"] for r in state.log]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))  # non-increasing
 
-    def test_best_metric_non_decreasing(self):
+    def test_best_metric_non_decreasing(self, tmp_path):
         params, train_q, dev_q, dev_s = build(n_sentences=80)
-        state = train_loop(params, train_q, dev_q, TrainConfig(max_epochs=5, seed=2))
+        state = train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=5, seed=2), tmp_path)
         best = None
         for record in state.log:
             metric = record["dev_avg_ec_re"]
@@ -296,11 +329,9 @@ class TestTrainLoop:
     def test_determinism_checkpoints_and_logs(self, tmp_path):
         outputs = []
         for run in ("a", "b"):
-            params, train_q, dev_q, _ = build(seed=7, n_sentences=40)
+            params, train_q, dev_q, dev_s = build(seed=7, n_sentences=40)
             out = tmp_path / run
-            state = train_loop(params, train_q, dev_q,
-                               TrainConfig(max_epochs=3, seed=11),
-                               out_dir=out, log_path=out / "log.jsonl")
+            state = train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=3, seed=11), out)
             outputs.append((state, out))
         (state_a, out_a), (state_b, out_b) = outputs
         assert state_a.log == state_b.log
@@ -311,8 +342,8 @@ class TestTrainLoop:
             assert (out_a / name / "manifest.json").read_bytes() == \
                 (out_b / name / "manifest.json").read_bytes()
 
-    def test_overfits_separable_task(self):
-        params, train_q, dev_q, _ = build(n_sentences=300,
+    def test_overfits_separable_task(self, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=300,
                                           nk_c=12, nk_e=8, h_c=16, h_e=8, emb_dim=16)
         # The hard cases are the entity types of rare names in no-relation
         # sentences: only the name's own embedding says the type, so SGD must
@@ -321,17 +352,17 @@ class TestTrainLoop:
         # (lr 0.1, batch 10) reach only 0.81-0.90. The bounds, the 10 epochs,
         # the train seed and the corpus size are the original ones.
         config = TrainConfig(max_epochs=10, seed=3, learning_rate=0.2, batch_size=5)
-        state = train_loop(params, train_q, dev_q, config)
+        state = train(params, train_q, dev_q, dev_s, config, tmp_path)
         preds = predict_queries(train_q, params)
         hits = sum(pred == gold_indices(q, params.label_space) for q, pred in zip(train_q, preds))
         assert hits / len(train_q) >= 0.95
         assert state.best_metric >= 0.85
 
-    def test_freeze_embeddings_flag(self):
+    def test_freeze_embeddings_flag(self, tmp_path):
         # the table train --freeze-embeddings builds
-        params, train_q, dev_q, _ = build(n_sentences=20, trainable=False)
+        params, train_q, dev_q, dev_s = build(n_sentences=20, trainable=False)
         emb_before = params["embeddings"].value.copy()
-        train_loop(params, train_q, dev_q, TrainConfig(max_epochs=1, seed=4))
+        train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=1, seed=4), tmp_path)
         assert np.array_equal(params["embeddings"].value, emb_before)
 
 
