@@ -153,7 +153,10 @@ def cmd_train(args) -> int:
         log_path=out_dir / "log.jsonl",
     )
     print(f"epochs: {state.epoch}")
-    print(f"best dev Avg EC+RE: {state.best_metric}")
+    if state.best_metric is None:
+        print("best dev Avg EC+RE: none, no dev set was given")
+    else:
+        print(f"best dev Avg EC+RE: {state.best_metric}")
     print(f"best checkpoint: {state.best_path}")
     print(f"final checkpoint: {out_dir / 'final'}")
     return 0

@@ -14,8 +14,6 @@ float32; gradient checks run on float64 models, whose finite differences
 float32 rounding would swamp.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -133,10 +131,25 @@ def tanh_backward(h: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (1.0 - h * h) * grad
 
 
+# values per float64 block of scaled_uniform: a 512 KB draw buffer
+DRAW_CHUNK = 1 << 16
+
+
 def scaled_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=np.float64):
-    """Symmetric uniform init with bound sqrt(6 / (fan_in + fan_out))."""
+    """Symmetric uniform init with bound sqrt(6 / (fan_in + fan_out)).
+
+    The float64 draws go into the result DRAW_CHUNK values at a time, so no
+    float64 copy of a whole tensor is made. Each value takes one draw in
+    order, so the values and the generator's position afterwards are those
+    of one ``rng.uniform(...).astype(dtype)`` call.
+    """
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, flat.size)
+        flat[start:stop] = rng.uniform(-bound, bound, size=stop - start)
+    return out
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -154,22 +167,28 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     return num / den
 
 
-@dataclass
 class ParamTensor:
-    """A trainable tensor paired with its gradient buffer, which each
-    training backward overwrites."""
+    """A trainable tensor and its gradient buffer, which each training
+    backward overwrites.
 
-    name: str
-    value: np.ndarray
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    The buffer is made, zeroed, the first time ``grad`` is read, so a model
+    that only predicts, or a tensor that training never steps (frozen
+    embeddings, the softmax baseline's transitions), holds none. A ``grad``
+    given up front must have the value's shape.
+    """
 
-    def __post_init__(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ValueError(
-                f"{self.name}: grad shape {self.grad.shape} != value shape {self.value.shape}"
-            )
+    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
+        if grad is not None and grad.shape != value.shape:
+            raise ValueError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
+        self.name = name
+        self.value = value
+        self._grad = grad
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
 
     @property
     def shape(self):

@@ -36,7 +36,8 @@ and bias gradients go straight into their buffers as one product or sum, and
 gradients that several inputs send to one span are summed by a
 0/1 routing product, not accumulated. The embeddings, which both CNNs
 scatter into, are the one buffer the backward clears itself, so no pass over
-the whole model zeroes gradients between batches.
+the whole model zeroes gradients between batches. A buffer is made the first
+time a backward writes it (``kernels.ParamTensor``), so prediction makes none.
 
 Both output layers are the linear chain of ``crf`` over the score sequence
 (``output_chain``): the CRF with its learned transitions, globally
@@ -137,7 +138,9 @@ class HyperParams:
 
 
 class ModelParams:
-    """All trainable tensors with paired gradient buffers.
+    """All the model's tensors, each with the gradient buffer that training
+    makes on its first backward (``ParamTensor``): a model that is only
+    built or loaded, and then predicts, holds values alone.
 
     Tensor order is fixed; checkpoints and init draws depend on it.
     """
@@ -227,7 +230,7 @@ def init_params(hyper: HyperParams, label_space: LabelSpace,
         raise ValueError(
             f"embedding dim {embeddings.dim} != configured emb_dim {hyper.emb_dim}"
         )
-    embeddings.matrix = embeddings.matrix.astype(dtype)
+    embeddings.matrix = embeddings.matrix.astype(dtype, copy=False)
     tensors = {}
     for name, shape in tensor_shapes(hyper, label_space, embeddings.n_rows):
         if name == "embeddings":
@@ -605,7 +608,7 @@ PARAMS_NAME = "params.bin"
 _DTYPE_CODES = {"float64": "<f8", "float32": "<f4"}
 # the keys save_checkpoint writes, besides the optional "extra", with the JSON
 # type of each value that load_checkpoint reads
-_MANIFEST_KEYS = {"format": int, "seed": None, "dtype": str, "hyperparams": dict,
+_MANIFEST_KEYS = {"format": int, "seed": int, "dtype": str, "hyperparams": dict,
                   "ec_labels": list, "re_labels": list, "vocab": list, "unk_row": int,
                   "embeddings_trainable": bool, "tensors": list, "total_bytes": int}
 _ENTRY_KEYS = {"name": str, "shape": list, "offset": int}

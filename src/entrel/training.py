@@ -81,7 +81,9 @@ def query_loss_and_backward(queries, params: ModelParams) -> float:
     Writes the gradient of the batch's mean loss into every trainable
     tensor's buffer, replacing what it held: the 1/B scale applies to the
     score and transition gradients before the backward, and no buffer needs
-    clearing first. Returns the summed loss."""
+    clearing first. The first call on a model makes those buffers; frozen
+    embeddings and the softmax baseline's transitions never get one.
+    Returns the summed loss."""
     if not queries:
         raise ValueError("query_loss_and_backward: empty batch (no queries)")
     (losses, grad_d, grad_q), cache = _batch_nll(queries, params)
@@ -98,7 +100,8 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
     in place; the gradient buffers are left holding lr * grad.
 
     The gradient buffers hold the batch-mean gradient that
-    query_loss_and_backward wrote. Every gradient is checked before any
+    query_loss_and_backward wrote, and exist from its first call; a buffer
+    read before that is made as zeros. Every gradient is checked before any
     tensor moves, so a non-finite one leaves the parameters as they were.
     """
     trainable = params.trainable_tensors()
@@ -107,10 +110,11 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
         if not (math.isfinite(tensor.grad.min()) and math.isfinite(tensor.grad.max())):
             raise RuntimeError(f"non-finite gradient in tensor {tensor.name}")
     for tensor in trainable:
-        tensor.grad *= lr
+        grad = tensor.grad
+        grad *= lr
         if l2:
             tensor.value *= 1.0 - lr * l2
-        tensor.value -= tensor.grad
+        tensor.value -= grad
 
 
 def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainConfig,
@@ -120,7 +124,9 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     After each epoch the dev Avg EC+RE is computed over ``dev_sentences``;
     when it drops below the previous epoch's value the learning rate halves.
     The best-on-dev checkpoint is kept in ``out_dir`` alongside the final
-    one. Each epoch's record is appended to ``log_path`` as the epoch ends.
+    one. Without dev queries no epoch is best: no ``best/`` is saved,
+    ``best_metric`` stays None and ``best_path`` is the final checkpoint.
+    Each epoch's record is appended to ``log_path`` as the epoch ends.
     Stops at max_epochs or when the learning rate falls below LR_FLOOR.
 
     A batch whose loss, backward or step fails raises a RuntimeError naming
@@ -163,7 +169,8 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
             report = score_queries(dev_queries, preds, config.setup, ls, dev_sentences)
             metric = report.avg_ec_re if report.avg_ec_re is not None else 0.0
 
-        improved = state.best_metric is None or metric > state.best_metric
+        improved = bool(dev_queries) and (state.best_metric is None
+                                          or metric > state.best_metric)
         if improved:
             state.best_metric = metric
             state.best_path = str(out_dir / "best")

@@ -101,6 +101,20 @@ def test_train_writes_checkpoints_and_log(corpus, checkpoint):
     assert [json.loads(line)["epoch"] for line in log] == [1]
 
 
+def test_train_without_dev_claims_no_best_epoch(corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("train", "--train", corpus / "train.jsonl", "--out", out,
+               "--max-epochs", 3, *TINY_FLAGS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["epochs: 3", "best dev Avg EC+RE: none, no dev set was given",
+                     f"best checkpoint: {out / 'final'}", f"final checkpoint: {out / 'final'}"]
+    assert not (out / "best").exists()
+    assert manifest(out / "final")["extra"] == {"epoch": 3}
+    log = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    assert [(r["epoch"], r["improved"], r["dev_avg_ec_re"]) for r in log] == [
+        (1, False, None), (2, False, None), (3, False, None)]
+
+
 def test_eval_writes_report(corpus, checkpoint, tmp_path):
     assert run("eval", "--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl",
                "--out", tmp_path) == 0
@@ -336,11 +350,15 @@ def test_missing_subcommand_and_bad_span_exit_2(checkpoint):
     (lambda m: m["ec_labels"].remove("Other"),
      "ec_labels ['Peop', 'Org', 'Loc', 'O'] is not the label set "
      "['Peop', 'Org', 'Loc', 'Other', 'O']"),
+    (lambda m: m.update(seed={"a": [1]}), "manifest seed is not of type int"),
+    (lambda m: m.update(seed="13"), "manifest seed is not of type int"),
+    (lambda m: m.update(seed=True), "manifest seed is not of type int"),
 ], ids=["unknown-hyperparam", "missing-hyperparam", "missing-key", "vocab-row-past-table",
         "negative-vocab-row", "vocab-not-a-list", "vocab-entry-not-a-pair", "unk-row-past-table",
         "labels-not-a-list", "shape-not-a-list", "negative-offset", "negative-size",
         "name-not-a-string", "hyperparam-as-text", "trainable-not-a-bool", "other-format",
-        "format-not-an-int", "other-label-set"])
+        "format-not-an-int", "other-label-set", "seed-as-a-dict", "seed-as-text",
+        "seed-as-a-bool"])
 def test_malformed_manifest_exits_1_with_one_line(checkpoint, tmp_path, capsys, corrupt, ending):
     broken = tmp_path / "ck"
     shutil.copytree(checkpoint, broken)

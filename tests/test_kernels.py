@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrel.kernels import (
+    DRAW_CHUNK,
     ParamTensor,
     conv1d,
     conv1d_backward,
@@ -341,8 +342,34 @@ class TestParamTensor:
         with pytest.raises(ValueError):
             ParamTensor("w", np.ones((2, 2)), grad=np.zeros(3))
 
+    def test_buffer_made_zeroed_on_first_read(self):
+        tensor = ParamTensor("w", np.ones((2, 3), dtype=np.float32))
+        assert tensor._grad is None
+        grad = tensor.grad
+        assert grad.dtype == np.float32 and grad.shape == (2, 3) and not grad.any()
+        assert tensor.grad is grad
+
+    def test_given_buffer_kept(self):
+        grad = np.zeros((2, 2))
+        assert ParamTensor("w", np.ones((2, 2)), grad=grad).grad is grad
+
 
 class TestInit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (0, 5), (7,), (DRAW_CHUNK - 1,), (DRAW_CHUNK,), (DRAW_CHUNK + 1,), (257, 300),
+        (500, 3, 50)])
+    def test_chunked_draws_equal_one_draw(self, shape, dtype):
+        """The values and the generator's position afterwards are those of
+        one float64 draw of the whole tensor, cast to the dtype."""
+        rng, reference = np.random.default_rng(21), np.random.default_rng(21)
+        bound = np.sqrt(6.0 / (30 + 20))
+        expected = reference.uniform(-bound, bound, size=shape).astype(dtype)
+        draws = scaled_uniform(rng, shape, 30, 20, dtype=dtype)
+        assert draws.dtype == dtype and draws.shape == expected.shape
+        assert draws.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_sample_mean_within_three_sigma(self):
         rng = np.random.default_rng(9)
         n = 100_000

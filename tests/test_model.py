@@ -596,6 +596,10 @@ class TestInit:
         names = {t.name for t in params.trainable_tensors()}
         assert "embeddings" not in names
 
+    def test_a_fresh_model_holds_no_gradient_buffer(self):
+        params = make_params()
+        assert [t.name for t in params.all_tensors() if t._grad is not None] == []
+
 
 class TestBackward:
     def test_backward_before_forward_is_state_error(self):
@@ -647,6 +651,12 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(tmp_path / "ck")
         d_after, _ = forward_query(query, loaded)
         assert np.array_equal(d_before, d_after)
+
+    def test_a_loaded_model_predicts_without_gradient_buffers(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", make_params(seed=12), seed=12)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        predict_queries(gen_setup3([make_sentence()])[0], loaded, masked=True)
+        assert [t.name for t in loaded.all_tensors() if t._grad is not None] == []
 
     def test_save_is_deterministic(self, tmp_path):
         params = make_params(seed=13)

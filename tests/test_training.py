@@ -153,6 +153,20 @@ class TestBatchedLossAndBackward:
         for tensor, reference in zip(params.all_tensors(), fresh.all_tensors()):
             assert np.array_equal(tensor.grad, reference.grad), tensor.name
 
+    @pytest.mark.parametrize("output_layer, trainable", [
+        ("crf", True), ("crf", False), ("softmax", True)])
+    def test_first_backward_makes_the_trainable_buffers_only(self, output_layer, trainable):
+        """Frozen embeddings and the softmax baseline's transitions never
+        get a gradient buffer; every trainable tensor gets one."""
+        params, train_q, *_ = build(n_sentences=20, trainable=trainable,
+                                    output_layer=output_layer)
+        query_loss_and_backward(train_q[:6], params)
+        sgd_step(params, lr=0.1, l2=1e-3)
+        buffered = {t.name for t in params.all_tensors() if t._grad is not None}
+        assert buffered == {t.name for t in params.trainable_tensors()}
+        assert ("embeddings" in buffered) == trainable
+        assert ("transitions" in buffered) == (output_layer == "crf")
+
     def test_empty_batch_is_named_before_the_encoder_runs(self, monkeypatch):
         params, *_ = build()
 
@@ -164,7 +178,33 @@ class TestBatchedLossAndBackward:
             query_loss_and_backward([], params)
 
 
+def s2_world():
+    """The s2-size float32 hyperparameters, a float64 embedding table and the
+    setup-2 train queries of 60 synthetic sentences."""
+    sentences = synth.generate(synth.default_grammar(seed=3), 60)
+    queries = subsample_negatives(gen_setup2(sentences)[0], 0.3, (13, 3, 0))
+    hyper = HyperParams.defaults_for(2, "crf")
+    table = random_embeddings(corpus_vocabulary(sentences), hyper.emb_dim,
+                              np.random.default_rng(1))
+    return hyper, table, queries
+
+
 class TestAllocation:
+    def test_init_makes_no_float64_copy_and_no_gradient_buffer(self):
+        """init_params at s2 sizes draws each weight straight into float32
+        and makes no gradient buffer: it allocates the values and less than
+        a quarter of the largest tensor besides."""
+        hyper, table, _ = s2_world()
+        tracemalloc.start()
+        try:
+            params = init_params(hyper, LabelSpace(), table, seed=13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        values = sum(tensor.value.nbytes for tensor in params.all_tensors())
+        largest = params["re_ctx_w"].value.nbytes
+        assert peak < values + largest / 4, (peak, values, largest)
+
     def test_training_step_allocates_under_half_the_largest_tensor(self):
         """A warmed s2-size float32 step (loss, backward, SGD) writes the
         gradients into their buffers: no temporary near a weight matrix's
@@ -325,6 +365,25 @@ class TestTrainLoop:
             if best is None or (metric is not None and metric > best):
                 best = metric
         assert state.best_metric == pytest.approx(best)
+
+    def test_same_seed_bit_identical_at_s2_sizes(self):
+        """Three s2-size float32 batches from one seed, twice in one process at
+        the default BLAS thread count: products this large are the ones the
+        BLAS library may split across threads."""
+        runs = []
+        for _ in range(2):
+            hyper, table, queries = s2_world()
+            params = init_params(hyper, LabelSpace(), table, seed=13)
+            order = np.random.default_rng(0).permutation(len(queries))
+            losses = []
+            for start in (0, 10, 20):
+                losses.append(query_loss_and_backward(
+                    [queries[i] for i in order[start : start + 10]], params))
+                sgd_step(params, lr=0.1, l2=1e-3)
+            runs.append((losses, {t.name: t.value.tobytes() for t in params.all_tensors()}))
+        (losses_a, tensors_a), (losses_b, tensors_b) = runs
+        assert losses_a == losses_b
+        assert tensors_a == tensors_b
 
     def test_determinism_checkpoints_and_logs(self, tmp_path):
         outputs = []
