@@ -1,5 +1,6 @@
 """Command-line entry points: convert, train, eval, predict, gradcheck,
-inspect-transitions, disagreement.
+inspect-transitions. ``entrel eval`` also reports how often the entity
+votes of the queries disagree.
 
 Options can come from a JSON config file (--config, or the ENTREL_CONFIG
 environment variable) whose keys are flag names with underscores; explicit
@@ -258,23 +259,6 @@ def cmd_inspect_transitions(args) -> int:
     return 0
 
 
-def cmd_disagreement(args) -> int:
-    params, _ = model.load_checkpoint(args.checkpoint)
-    sentences = load_canonical(args.corpus)
-    queries = _generate_queries(sentences, args.setup)
-    with _running(args.checkpoint):
-        preds = model.predict_queries(queries, params, args.masked_decode)
-    stats = evaluation.score_queries(queries, preds, args.setup, params.label_space,
-                                     sentences).disagreement
-    print(f"entities: {stats.n_groups}")
-    print(f"disagreeing: {stats.n_disagreeing} ({100 * stats.fraction:.2f}%)")
-    if stats.n_disagreeing:
-        print(f"max disagreement: {100 * stats.max_fraction:.0f}%")
-        print(f"median disagreement: {100 * stats.median_fraction:.0f}%")
-        print(f"min disagreement: {100 * stats.min_fraction:.0f}%")
-    return 0
-
-
 def _add_common_model_flags(parser):
     parser.add_argument("--setup", type=int, choices=(1, 2, 3), default=1)
     parser.add_argument("--masked-decode", action="store_true",
@@ -396,11 +380,6 @@ def build_parser():
                 "transition scores above a threshold")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-
-    p = command("disagreement", cmd_disagreement, "entity-vote disagreement statistics")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    _add_common_model_flags(p)
 
     parser = argparse.ArgumentParser(
         prog="entrel",

@@ -165,17 +165,17 @@ class Sentence:
 def related_pairs(sentence: Sentence) -> dict:
     """The gold relation of each related entity pair.
 
-    Maps (first span, second span), in textual order, to (label, inverse),
-    where inverse means the annotated head is the later span. Where several
-    relations share a pair, the canonically first label (RE_LABELS order)
-    wins, together with that relation's direction.
+    Maps (first span, second span), in textual order, to the relation's
+    label, whichever span the annotation names as head: the labels are
+    undirected. Where several relations share a pair, the canonically first
+    label (RE_LABELS order) wins.
     """
     pairs = {}
     for rel in sentence.relations:
         head, tail = sentence.entities[rel.head].span, sentence.entities[rel.tail].span
-        pair, inverse = ((head, tail), False) if head < tail else ((tail, head), True)
-        if pair not in pairs or RE_LABELS.index(rel.type) < RE_LABELS.index(pairs[pair][0]):
-            pairs[pair] = (rel.type, inverse)
+        pair = (head, tail) if head < tail else (tail, head)
+        if pair not in pairs or RE_LABELS.index(rel.type) < RE_LABELS.index(pairs[pair]):
+            pairs[pair] = rel.type
     return pairs
 
 

@@ -239,7 +239,7 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
                 under[pair].append(label)
             else:
                 re_decisions.append((label, NO_RELATION))
-        for pair, (gold_label, _) in pairs.items():
+        for pair, gold_label in pairs.items():
             labels = under[pair]
             if gold_label in labels:
                 re_decisions.append((gold_label, gold_label))

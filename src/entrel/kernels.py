@@ -171,18 +171,16 @@ class ParamTensor:
     """A trainable tensor and its gradient buffer, which each training
     backward overwrites.
 
-    The buffer is made, zeroed, the first time ``grad`` is read, so a model
-    that only predicts, or a tensor that training never steps (frozen
-    embeddings, the softmax baseline's transitions), holds none. A ``grad``
-    given up front must have the value's shape.
+    The buffer is made, zeroed and of the value's shape and dtype, the first
+    time ``grad`` is read, so a model that only predicts, or a tensor that
+    training never steps (frozen embeddings, the softmax baseline's
+    transitions), holds none.
     """
 
-    def __init__(self, name: str, value: np.ndarray, grad: np.ndarray | None = None):
-        if grad is not None and grad.shape != value.shape:
-            raise ValueError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
+    def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self._grad = grad
+        self._grad = None
 
     @property
     def grad(self) -> np.ndarray:

@@ -11,11 +11,8 @@ Each cell above the diagonal is one query over its two rows, in textual
 order. A row is labelled with the type of the gold entity that holds it (O
 if none). A cell's gold relation is that of the entity pair holding its two
 rows, as corpus.related_pairs decides it: where several relations share a
-pair, the canonically first label wins, together with its direction. When
-the annotated head is the later span, the query carries inverse=True. No
-model input or scorer reads it: the labels are undirected, and setup-3
-scoring drops the direction that corpus.related_pairs gives. Only
-dump_queries (``entrel train --dump-queries``) writes it out.
+pair, the canonically first label wins. The labels are undirected, so a
+query does not say which of its spans is the annotated head.
 
 gen_setup1 builds no table and returns the queries alone. gen_setup2/3
 still return (queries, tables), because
@@ -49,7 +46,6 @@ class Query:
     gold_rel: str
     gold_t2: str
     setup: int
-    inverse: bool = False  # annotated head is the later span
 
     @property
     def sentence_id(self) -> str:
@@ -113,9 +109,9 @@ def _fill_tables(sentences, setup, row_layout):
         queries = []
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                rel, inverse = pairs.get((spans[i], spans[j]), (NO_RELATION, False))
+                rel = pairs.get((spans[i], spans[j]), NO_RELATION)
                 queries.append(Query(sentence, rows[i], rows[j], labels[i], rel, labels[j],
-                                     setup, inverse))
+                                     setup))
         yield sentence, rows, labels, queries
 
 
@@ -171,7 +167,6 @@ def query_to_record(query: Query) -> dict:
         "gold_rel": query.gold_rel,
         "gold_t2": query.gold_t2,
         "setup": query.setup,
-        "inverse": query.inverse,
     }
 
 

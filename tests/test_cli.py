@@ -129,24 +129,34 @@ def test_predict(checkpoint, capsys):
     assert capsys.readouterr().out.startswith("('per1', 'org1') => (")
 
 
-def test_inspect_transitions_and_disagreement(corpus, checkpoint, capsys):
+def test_inspect_transitions_flags_the_tag_rows(checkpoint, capsys):
     assert run("inspect-transitions", "--checkpoint", checkpoint, "--threshold=-inf") == 0
-    assert "transitions above -inf: 169" in capsys.readouterr().out
-    assert run("disagreement", "--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl",
-               "--setup", 2) == 0
-    assert capsys.readouterr().out.startswith("entities: ")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "transitions above -inf: 169"
+    # 13 x 13 cells: the 11 x 11 between classes are the untagged ones
+    assert sum(line.endswith(" [tag]") for line in lines[1:]) == 169 - 121
+    assert any(line.startswith("<begin> -> ") for line in lines)
+    assert any(" -> <end>: " in line for line in lines)
 
 
 @pytest.mark.parametrize("setup", [1, 2, 3])
 def test_disagreement_reports_the_stats_eval_reports(corpus, checkpoint, tmp_path, capsys, setup):
-    common = ("--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl", "--setup", setup)
-    assert run("eval", *common, "--out", tmp_path) == 0
+    """entrel eval prints the entity-vote disagreement with the numbers its
+    report.json holds. The one-epoch model's votes agree in setup 1 and
+    disagree in setups 2 and 3."""
+    assert run("eval", "--checkpoint", checkpoint, "--corpus", corpus / "dev.jsonl",
+               "--setup", setup, "--out", tmp_path) == 0
+    printed = capsys.readouterr().out
     stats = json.loads((tmp_path / "report.json").read_text())["disagreement"]
-    capsys.readouterr()
-    assert run("disagreement", *common) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == [f"entities: {stats['n_groups']}",
-                         f"disagreeing: {stats['n_disagreeing']} ({100 * stats['fraction']:.2f}%)"]
+    assert (stats["n_disagreeing"] > 0) == (setup > 1)
+    expected = [f"disagreement: {stats['n_disagreeing']}/{stats['n_groups']} entities"
+                f" ({100 * stats['fraction']:.2f}%)"]
+    if stats["n_disagreeing"]:
+        expected.append("  per-entity disagreement max/median/min: " + "/".join(
+            f"{100 * stats[key]:.0f}%" for key in ("max_fraction", "median_fraction",
+                                                   "min_fraction")))
+    assert [line for line in printed.splitlines() if "disagreement" in line] == expected
+    assert (tmp_path / "report.txt").read_text() == printed
 
 
 @pytest.mark.parametrize("value", ["-inf", "-1e9"])

@@ -345,7 +345,7 @@ class TestScoreSetup3:
         report = score_queries(queries, perfect_predictions(queries, label_space), 3,
                                label_space, sentences)
         missed = Counter(ent.type for ent in sentences[1].entities)
-        missed.update(label for label, _ in related_pairs(sentences[1]).values())
+        missed.update(related_pairs(sentences[1]).values())
         assert missed
         for cls, counts in report.counts.items():
             if cls != "O":  # each missed entity is predicted O

@@ -338,20 +338,12 @@ class TestBackwardPasses:
 
 
 class TestParamTensor:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ParamTensor("w", np.ones((2, 2)), grad=np.zeros(3))
-
     def test_buffer_made_zeroed_on_first_read(self):
         tensor = ParamTensor("w", np.ones((2, 3), dtype=np.float32))
         assert tensor._grad is None
         grad = tensor.grad
         assert grad.dtype == np.float32 and grad.shape == (2, 3) and not grad.any()
         assert tensor.grad is grad
-
-    def test_given_buffer_kept(self):
-        grad = np.zeros((2, 2))
-        assert ParamTensor("w", np.ones((2, 2)), grad=grad).grad is grad
 
 
 class TestInit:

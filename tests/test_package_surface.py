@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "entrel"
 
 # reached only by a test until the paper's CRF-vs-softmax claim is put
-# under test on it, or the grammar is retired (ROADMAP item 4)
+# under test on it, or the grammar is retired (ROADMAP item 2)
 ALLOWED_UNREACHED = {("synth", "ambiguous_grammar")}
 
 

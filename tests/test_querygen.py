@@ -44,7 +44,6 @@ class TestSetup1:
         by_spans = {(q.span_i, q.span_j): q for q in queries}
         live = by_spans[((0, 1), (7, 9))]
         assert (live.gold_t1, live.gold_rel, live.gold_t2) == ("Peop", "Live_in", "Loc")
-        assert not live.inverse
         rest = by_spans[((0, 1), (11, 14))]
         assert rest.gold_rel == "N"
 
@@ -69,8 +68,8 @@ class TestSetup1:
         assert len(queries) == 1
         assert queries[0].span_i == (0, 1) and queries[0].span_j == (2, 3)
 
-    def test_inverse_direction_flagged(self):
-        # annotated head is the later span
+    def test_later_head_labels_the_pair_in_text_order(self):
+        # annotated head is the later span: the query keeps text order
         sent = Sentence(
             "inv",
             ["loc1", "is", "home", "of", "per1"],
@@ -78,9 +77,8 @@ class TestSetup1:
             [RelationAnnotation(1, 0, "Live_in")],
         )
         (query,) = gen_setup1([sent])
-        assert query.gold_rel == "Live_in"
-        assert query.inverse
-        assert (query.gold_t1, query.gold_t2) == ("Loc", "Peop")
+        assert (query.span_i, query.span_j) == ((0, 1), (4, 5))
+        assert (query.gold_t1, query.gold_rel, query.gold_t2) == ("Loc", "Live_in", "Peop")
 
 
 class TestSetup2:
@@ -160,8 +158,8 @@ class TestSetup3:
         assert len(q3) >= len(q2)
 
 
-# two relations on one pair: Work_for is canonically first, so it wins with
-# its own direction (head Peop, the earlier span) in either listing order
+# two relations on one pair: Work_for is canonically first, so it wins in
+# either listing order
 WORK_LIVE = [RelationAnnotation(0, 1, "Work_for"), RelationAnnotation(1, 0, "Live_in")]
 
 
@@ -191,7 +189,7 @@ RULE_CORPORA = {
 
 
 def cells(queries):
-    return [(q.sentence_id, q.span_i, q.span_j, q.gold_t1, q.gold_rel, q.gold_t2, q.inverse)
+    return [(q.sentence_id, q.span_i, q.span_j, q.gold_t1, q.gold_rel, q.gold_t2)
             for q in queries]
 
 
@@ -205,29 +203,28 @@ class TestOnePairRule:
         between_named = [q for q in q2 if (q.sentence_id, q.span_i) in named
                          and (q.sentence_id, q.span_j) in named]
         assert cells(gen_setup1(sentences)) == cells(between_named)
-        # setup-2 rows are whole entities: each pair's label and direction
-        pair = {(q.sentence_id, q.span_i, q.span_j): (q.gold_rel, q.inverse) for q in q2}
+        # setup-2 rows are whole entities: each pair's label
+        pair = {(q.sentence_id, q.span_i, q.span_j): q.gold_rel for q in q2}
         holder = {s.id: {t: e.span for e in s.entities for t in range(e.start, e.end)}
                   for s in sentences}
         related = 0
         for q in gen_setup3(sentences)[0]:
             held = holder[q.sentence_id]
             key = (q.sentence_id, held.get(q.span_i[0]), held.get(q.span_j[0]))
-            assert (q.gold_rel, q.inverse) == pair.get(key, (NO_RELATION, False)), q
+            assert q.gold_rel == pair.get(key, NO_RELATION), q
             related += q.gold_rel != NO_RELATION
         assert related > 0
 
-    def test_canonically_first_label_wins_with_its_direction(self):
+    def test_canonically_first_label_wins(self):
         listed, reversed_, o_rel = hand_built_corpus()
         for sentence in (listed, reversed_):
             (query,) = gen_setup1([sentence])
-            assert (query.gold_rel, query.inverse) == ("Work_for", False)
+            assert query.gold_rel == "Work_for"
         # the O-typed entity has no setup-1 row, but its relations label setup 2
         assert [q.span_j for q in gen_setup1([o_rel])] == [(5, 6)]
-        related = {(q.span_i, q.span_j): (q.gold_rel, q.inverse)
+        related = {(q.span_i, q.span_j): q.gold_rel
                    for q in gen_setup2([o_rel])[0] if q.gold_rel != NO_RELATION}
-        assert related == {((0, 1), (5, 6)): ("Live_in", False),
-                           ((0, 1), (2, 4)): ("Kill", True)}
+        assert related == {((0, 1), (5, 6)): "Live_in", ((0, 1), (2, 4)): "Kill"}
 
 
 class TestSubsampling:

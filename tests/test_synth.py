@@ -1,6 +1,5 @@
 
 from entrel import synth
-from entrel.querygen import gen_setup1
 
 SIGNATURES = {
     "Located_in": ("Loc", "Loc"),
@@ -46,10 +45,11 @@ class TestGenerate:
     def test_inverse_surfaces_produce_later_heads(self):
         grammar = synth.default_grammar(seed=5)
         sentences = synth.generate(grammar, 3000)
-        inverse_queries = [q for q in gen_setup1(sentences) if q.inverse]
-        assert inverse_queries  # the Live_in inverse template fires sometimes
-        for q in inverse_queries:
-            assert q.gold_rel == "Live_in"
+        later_heads = [rel for s in sentences for rel in s.relations
+                       if s.entities[rel.head].start > s.entities[rel.tail].start]
+        assert later_heads  # the Live_in inverse template fires sometimes
+        for rel in later_heads:
+            assert rel.type == "Live_in"
 
     def test_all_relations_and_types_appear(self):
         sentences = synth.generate(synth.default_grammar(seed=6), 2000)
