@@ -142,7 +142,9 @@ def cmd_train(args) -> int:
     params = model.init_params(hyper, LabelSpace(), table, seed=args.seed)
     out_dir = Path(args.out)
     if args.dump_queries:
-        dump_queries(args.dump_queries, train_queries)
+        dump = Path(args.dump_queries)
+        dump.parent.mkdir(parents=True, exist_ok=True)
+        dump_queries(dump, train_queries)
 
     state = training.train_loop(
         params,

@@ -172,8 +172,10 @@ class ParamTensor:
     backward overwrites.
 
     The buffer is made, zeroed and of the value's shape and dtype, the first
-    time ``grad`` is read, so a model that only predicts, or a tensor that
-    training never steps (frozen embeddings, the softmax baseline's
+    time ``grad`` is read, and freed by ``del tensor.grad``. Training reads it
+    from an epoch's first backward and frees it when the epoch's batch loop
+    ends, so a model that only predicts, a model between epochs, or a tensor
+    that training never steps (frozen embeddings, the softmax baseline's
     transitions), holds none.
     """
 
@@ -187,6 +189,10 @@ class ParamTensor:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
         return self._grad
+
+    @grad.deleter
+    def grad(self):
+        self._grad = None
 
     @property
     def shape(self):

@@ -36,8 +36,11 @@ and bias gradients go straight into their buffers as one product or sum, and
 gradients that several inputs send to one span are summed by a
 0/1 routing product, not accumulated. The embeddings, which both CNNs
 scatter into, are the one buffer the backward clears itself, so no pass over
-the whole model zeroes gradients between batches. A buffer is made the first
-time a backward writes it (``kernels.ParamTensor``), so prediction makes none.
+the whole model zeroes gradients between batches. A buffer lives from an
+epoch's first backward, which makes it (``kernels.ParamTensor``), to the end
+of that epoch's batch loop, which frees it (``ModelParams.drop_gradients``):
+prediction makes none, and training's dev scoring and checkpoint writes run
+beside none.
 
 Both output layers are the linear chain of ``crf`` over the score sequence
 (``output_chain``): the CRF with its learned transitions, globally
@@ -139,8 +142,10 @@ class HyperParams:
 
 class ModelParams:
     """All the model's tensors, each with the gradient buffer that training
-    makes on its first backward (``ParamTensor``): a model that is only
-    built or loaded, and then predicts, holds values alone.
+    makes on an epoch's first backward (``ParamTensor``) and frees through
+    ``drop_gradients`` when the epoch's batch loop ends: a model that is
+    only built or loaded, and then predicts, and a model between epochs or
+    after training, holds values alone.
 
     Tensor order is fixed; checkpoints and init draws depend on it.
     """
@@ -162,6 +167,12 @@ class ModelParams:
 
     def all_tensors(self):
         return list(self._tensors.values())
+
+    def drop_gradients(self):
+        """Free every tensor's gradient buffer; the next backward makes
+        zeroed ones again."""
+        for tensor in self._tensors.values():
+            del tensor.grad
 
     def trainable_tensors(self):
         out = []

@@ -81,9 +81,9 @@ def query_loss_and_backward(queries, params: ModelParams) -> float:
     Writes the gradient of the batch's mean loss into every trainable
     tensor's buffer, replacing what it held: the 1/B scale applies to the
     score and transition gradients before the backward, and no buffer needs
-    clearing first. The first call on a model makes those buffers; frozen
-    embeddings and the softmax baseline's transitions never get one.
-    Returns the summed loss."""
+    clearing first. The first call on a model without buffers, such as an
+    epoch's first batch in train_loop, makes them; frozen embeddings and the
+    softmax baseline's transitions never get one. Returns the summed loss."""
     if not queries:
         raise ValueError("query_loss_and_backward: empty batch (no queries)")
     (losses, grad_d, grad_q), cache = _batch_nll(queries, params)
@@ -100,9 +100,11 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
     in place; the gradient buffers are left holding lr * grad.
 
     The gradient buffers hold the batch-mean gradient that
-    query_loss_and_backward wrote, and exist from its first call; a buffer
-    read before that is made as zeros. Every gradient is checked before any
-    tensor moves, so a non-finite one leaves the parameters as they were.
+    query_loss_and_backward wrote, and exist from its first call of the
+    epoch until train_loop frees them as the epoch's batch loop ends; a
+    buffer read before that call is made as zeros. Every gradient is checked
+    before any tensor moves, so a non-finite one leaves the parameters as
+    they were.
     """
     trainable = params.trainable_tensors()
     for tensor in trainable:
@@ -129,6 +131,11 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     Each epoch's record is appended to ``log_path`` as the epoch ends.
     Stops at max_epochs or when the learning rate falls below LR_FLOOR.
 
+    Gradient buffers live from an epoch's first backward to the end of its
+    batch loop: they are freed before dev scoring, before the epoch's
+    checkpoint writes, and before a failed batch's error leaves this
+    function, so the model this returns holds values alone.
+
     A batch whose loss, backward or step fails raises a RuntimeError naming
     the epoch, the batch and its sentences. The parameters are then still
     those from before that batch; they are first saved as the final
@@ -149,17 +156,19 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
         state.epoch = epoch
         order = rng.permutation(len(train_queries))
         epoch_loss = 0.0
-        for number, start in enumerate(range(0, len(order), config.batch_size), start=1):
-            batch = [train_queries[index] for index in order[start : start + config.batch_size]]
-            try:
+        try:
+            for number, start in enumerate(range(0, len(order), config.batch_size), start=1):
+                batch = [train_queries[index] for index in order[start : start + config.batch_size]]
                 epoch_loss += query_loss_and_backward(batch, params)
                 sgd_step(params, state.lr, config.l2)
-            except RuntimeError as exc:
-                ids = ", ".join(dict.fromkeys(query.sentence_id for query in batch))
-                save_checkpoint(out_dir / "final", params, config.seed,
-                                extra={"epoch": epoch, "batch": number})
-                raise RuntimeError(f"epoch {epoch}, batch {number} (sentences {ids}): "
-                                   f"{exc}") from None
+        except RuntimeError as exc:
+            ids = ", ".join(dict.fromkeys(query.sentence_id for query in batch))
+            save_checkpoint(out_dir / "final", params, config.seed,
+                            extra={"epoch": epoch, "batch": number})
+            raise RuntimeError(f"epoch {epoch}, batch {number} (sentences {ids}): "
+                               f"{exc}") from None
+        finally:
+            params.drop_gradients()
         train_loss = epoch_loss / len(train_queries)
 
         metric = 0.0

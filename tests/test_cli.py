@@ -13,6 +13,7 @@ import pytest
 from entrel import cli, model, synth
 from entrel.corpus import corpus_vocabulary, load_canonical, write_canonical
 from entrel.model import load_checkpoint, save_checkpoint
+from entrel.querygen import gen_setup1
 
 from conftest import RAW_SENTENCE
 
@@ -113,6 +114,18 @@ def test_train_without_dev_claims_no_best_epoch(corpus, tmp_path, capsys):
     log = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
     assert [(r["epoch"], r["improved"], r["dev_avg_ec_re"]) for r in log] == [
         (1, False, None), (2, False, None), (3, False, None)]
+
+
+def test_train_dumps_queries_into_an_out_directory_it_makes(corpus, tmp_path):
+    out = tmp_path / "run"
+    dump = out / "queries.jsonl"
+    assert run("train", "--train", corpus / "train.jsonl", "--out", out,
+               "--dump-queries", dump, "--max-epochs", 0, *TINY_FLAGS) == 0
+    records = [json.loads(line) for line in dump.read_text().splitlines()]
+    sentences = load_canonical(corpus / "train.jsonl")
+    assert [r["sentence_id"] for r in records] == [
+        q.sentence_id for q in gen_setup1(sentences)]
+    assert (out / "final" / "manifest.json").exists()
 
 
 def test_eval_writes_report(corpus, checkpoint, tmp_path):

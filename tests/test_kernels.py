@@ -345,6 +345,13 @@ class TestParamTensor:
         assert grad.dtype == np.float32 and grad.shape == (2, 3) and not grad.any()
         assert tensor.grad is grad
 
+    def test_deleted_buffer_is_made_zeroed_again(self):
+        tensor = ParamTensor("w", np.ones((2, 3), dtype=np.float32))
+        tensor.grad[...] = 5.0
+        del tensor.grad
+        assert tensor._grad is None
+        assert not tensor.grad.any()
+
 
 class TestInit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -230,6 +230,77 @@ class TestAllocation:
         assert largest == params["re_ctx_w"].value.nbytes
         assert peak < largest / 2, (peak, largest)
 
+    def test_one_epoch_keeps_the_values_and_no_gradient_buffer(self, tmp_path):
+        """After one s2-size epoch train_loop has freed the gradient buffers,
+        as large as the values: what the model, init and training keep is
+        the values and under 1 MiB besides."""
+        hyper, table, queries = s2_world()
+        tracemalloc.start()
+        try:
+            params = init_params(hyper, LabelSpace(), table, seed=13)
+            train_loop(params, queries[:40], [], TrainConfig(max_epochs=1, setup=2),
+                       out_dir=tmp_path, dev_sentences=[], log_path=tmp_path / "log.jsonl")
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        values = sum(tensor.value.nbytes for tensor in params.all_tensors())
+        assert kept < values + 2**20, (kept, values)
+
+
+def buffered(params):
+    """Names of the tensors that hold a gradient buffer."""
+    return [tensor.name for tensor in params.all_tensors() if tensor._grad is not None]
+
+
+class TestGradientBufferLifetime:
+    """A buffer lives from an epoch's first backward to the end of its batch
+    loop."""
+
+    def test_none_after_train_loop_returns(self, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
+        train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=2, seed=1, batch_size=4),
+              tmp_path)
+        assert buffered(params) == []
+
+    def test_none_after_a_failed_batch_is_raised(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
+        steps = []
+        real_step = training.sgd_step
+
+        def poisoning_step(params, lr, l2):
+            steps.append(buffered(params))
+            if len(steps) == 3:
+                params["ec_out"].grad[0, 0] = np.inf
+            real_step(params, lr, l2)
+
+        monkeypatch.setattr(training, "sgd_step", poisoning_step)
+        with pytest.raises(RuntimeError, match="^epoch 1, batch 3 "):
+            train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=1, seed=1, batch_size=4),
+                  tmp_path)
+        assert steps[-1] == [t.name for t in params.trainable_tensors()]
+        assert buffered(params) == []
+
+    def test_dev_scoring_and_checkpoint_writes_find_none(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
+        seen = []
+        real_predict, real_save = training.predict_queries, training.save_checkpoint
+
+        def recording_predict(queries, params, masked=False):
+            seen.append(("predict", buffered(params)))
+            return real_predict(queries, params, masked)
+
+        def recording_save(directory, params, seed, extra=None):
+            seen.append(("save", buffered(params)))
+            real_save(directory, params, seed, extra)
+
+        monkeypatch.setattr(training, "predict_queries", recording_predict)
+        monkeypatch.setattr(training, "save_checkpoint", recording_save)
+        train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=2, seed=1, batch_size=4),
+              tmp_path)
+        kinds = [kind for kind, _ in seen]
+        assert kinds.count("predict") == 2 and "save" in kinds
+        assert all(names == [] for _, names in seen), seen
+
 
 class TestTrainLoop:
     def test_failed_step_names_its_batch_and_moves_nothing(self, monkeypatch, tmp_path):
