@@ -6,7 +6,7 @@ values recorded at forward time and return input gradients, never adding
 into a caller's buffer. Callers own the bookkeeping of which forward values
 feed which backward call (see ``model.forward_sentences`` /
 ``model.backward_query``, which run each kernel once for a whole mini-batch
-and write each parameter's gradient buffer once per batch).
+and write each parameter's gradient once per batch).
 
 Every kernel computes in the dtype of its inputs and returns that dtype.
 The tuned models (``HyperParams.defaults_for``) train and predict in
@@ -14,14 +14,14 @@ float32; gradient checks run on float64 models, whose finite differences
 float32 rounding would swamp.
 """
 
+import math
+
 import numpy as np
 
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m [rows, cols] times each vector of a batch x [B, cols], with explicit
     shape validation: [B, rows], row b being m @ x[b]."""
-    m = np.asarray(m)
-    x = np.asarray(x)
     if m.ndim != 2 or x.ndim != 2 or m.shape[1] != x.shape[1]:
         raise ValueError(
             f"matvec shape mismatch: matrix {m.shape} vs vectors {x.shape}"
@@ -168,32 +168,72 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class ParamTensor:
-    """A trainable tensor and its gradient buffer, which each training
-    backward overwrites.
+    """A model tensor W and the gradient training last computed for it.
 
-    The buffer is made, zeroed and of the value's shape and dtype, the first
-    time ``grad`` is read, and freed by ``del tensor.grad``. Training reads it
-    from an epoch's first backward and frees it when the epoch's batch loop
-    ends, so a model that only predicts, a model between epochs, or a tensor
-    that training never steps (frozen embeddings, the softmax baseline's
-    transitions), holds none.
+    W is held as ``scale * stored``. ``value`` returns W: a scale other than
+    1 is first multiplied into ``stored`` in place (``fold``). Only
+    ``training.sgd_step`` sets a scale other than 1, on the tensors whose
+    gradient is held as factors, and the hot paths that read ``stored``
+    and ``scale`` directly apply it to their small products (``scaled``).
+
+    The gradient is held in one of two forms. A dense buffer is made,
+    zeroed and of the value's shape and dtype, the first time ``grad`` is
+    read, and each training backward overwrites it. A hidden-layer weight
+    instead keeps the two factors of its batch gradient X.T @ G
+    (``keep_factors``): the gathered inputs X [B, in] and the pre-activation
+    gradient G [B, out]. Reading ``grad`` of such a tensor makes that
+    product, once per backward. ``del tensor.grad`` frees either form.
+    Training holds a gradient from an epoch's first backward until the
+    epoch's batch loop ends, so a model that only predicts, a model between
+    epochs, or a tensor that training never steps (frozen embeddings, the
+    softmax baseline's transitions), holds none.
     """
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = value
+        self.stored = value
+        self.scale = 1.0
+        self.factors = None
+        self._grad = None
+
+    @property
+    def value(self) -> np.ndarray:
+        self.fold()
+        return self.stored
+
+    def fold(self, below: float = math.inf):
+        """Multiply a scale other than 1 into the stored values, W = stored,
+        when its magnitude is below ``below``."""
+        if self.scale != 1.0 and abs(self.scale) < below:
+            self.stored *= self.scale
+            self.scale = 1.0
+
+    def scaled(self, product: np.ndarray) -> np.ndarray:
+        """A product with ``stored`` made one with W: times the scale, or the
+        product itself while the scale is 1."""
+        return product if self.scale == 1.0 else product * self.scale
+
+    def keep_factors(self, x: np.ndarray, g: np.ndarray):
+        """Hold the gradient as x.T @ g, x [B, in] and g [B, out], in place
+        of a buffer; a buffer that an earlier ``grad`` read made goes."""
+        self.factors = (x, g)
         self._grad = None
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            if self.factors is None:
+                self._grad = np.zeros_like(self.stored)
+            else:
+                x, g = self.factors
+                self._grad = np.matmul(x.T, g)
         return self._grad
 
     @grad.deleter
     def grad(self):
         self._grad = None
+        self.factors = None
 
     @property
     def shape(self):
-        return self.value.shape
+        return self.stored.shape

@@ -31,16 +31,20 @@ spans, and nothing else: calls with no more inputs than spans keep the
 gathered product. The two forms differ only in rounding; the backward
 gathers the inputs in either case.
 
-The backward writes each parameter's gradient buffer once per batch: weight
-and bias gradients go straight into their buffers as one product or sum, and
-gradients that several inputs send to one span are summed by a
-0/1 routing product, not accumulated. The embeddings, which both CNNs
-scatter into, are the one buffer the backward clears itself, so no pass over
-the whole model zeroes gradients between batches. A buffer lives from an
-epoch's first backward, which makes it (``kernels.ParamTensor``), to the end
-of that epoch's batch loop, which frees it (``ModelParams.drop_gradients``):
-prediction makes none, and training's dev scoring and checkpoint writes run
-beside none.
+The backward writes each parameter's gradient once per batch: filter,
+bias and output weight gradients go straight into their buffers as one
+product or sum, and gradients that several inputs send to one span are
+summed by a 0/1 routing product, not accumulated. The four hidden-layer
+weights, 95% of the values of the tuned setup-2 model, keep their batch
+gradient as its two factors instead, the gathered inputs X [B, in] and the
+pre-activation gradient G [B, out] (``ParamTensor.keep_factors``), and
+``training.sgd_step`` takes their step from the factors. The embeddings,
+which both CNNs scatter into, are the one buffer the backward clears
+itself, so no pass over the whole model zeroes gradients between batches.
+A gradient lives from an epoch's first backward, which makes it, to the
+end of that epoch's batch loop, which frees it and folds every weight's
+scale into its values (``ModelParams.drop_gradients``): prediction makes
+none, and training's dev scoring and checkpoint writes run beside none.
 
 Both output layers are the linear chain of ``crf`` over the score sequence
 (``output_chain``): the CRF with its learned transitions, globally
@@ -141,11 +145,12 @@ class HyperParams:
 
 
 class ModelParams:
-    """All the model's tensors, each with the gradient buffer that training
-    makes on an epoch's first backward (``ParamTensor``) and frees through
-    ``drop_gradients`` when the epoch's batch loop ends: a model that is
-    only built or loaded, and then predicts, and a model between epochs or
-    after training, holds values alone.
+    """All the model's tensors, each with the gradient, a buffer or a
+    hidden weight's factors, that training makes on an epoch's first
+    backward (``ParamTensor``) and frees through ``drop_gradients`` when the
+    epoch's batch loop ends: a model that is only built or loaded, and then
+    predicts, and a model between epochs or after training, holds values
+    alone, each with scale 1.
 
     Tensor order is fixed; checkpoints and init draws depend on it.
     """
@@ -169,10 +174,11 @@ class ModelParams:
         return list(self._tensors.values())
 
     def drop_gradients(self):
-        """Free every tensor's gradient buffer; the next backward makes
-        zeroed ones again."""
+        """Free every tensor's gradient buffer or factors and fold every
+        scale into its values; the next backward makes gradients again."""
         for tensor in self._tensors.values():
             del tensor.grad
+            tensor.fold()
 
     def trainable_tensors(self):
         out = []
@@ -425,8 +431,9 @@ def encode_task(enc: SentenceEncoding, task: str, span_ids, params: ModelParams)
         raise ValueError(f"task {task!r} expects {n_spans} span(s) per input, "
                          f"got span ids of shape {span_ids.shape}")
     ctx_w, ctx_b, ent_w, ent_b, _ = params.task_tensors(task)
-    h_ctx = np.tanh(enc.ctx.project(span_ids, ctx_w.value) + ctx_b.value)
-    h_ent = np.tanh(enc.ent.project(span_ids, ent_w.value) + ent_b.value)
+    # the weights' stored values, and their scale on the [B, h] products
+    h_ctx = np.tanh(ctx_w.scaled(enc.ctx.project(span_ids, ctx_w.stored)) + ctx_b.value)
+    h_ent = np.tanh(ent_w.scaled(enc.ent.project(span_ids, ent_w.stored)) + ent_b.value)
     h = np.concatenate([h_ctx, h_ent], axis=1)
     cache = {
         "task": task,
@@ -446,10 +453,11 @@ def score_task(h, task: str, params: ModelParams):
 
 
 def encode_task_backward(grad_h, cache, params: ModelParams):
-    """Write the gradients of one encode_task call's hidden layers into
-    their buffers, each weight gradient as one matrix product over the
-    call's inputs; the pooled-feature gradient goes to the sentence
-    encoding, whose ``backward`` finishes the CNNs.
+    """Keep the gradients of one encode_task call's hidden layers: each
+    weight's as its factors, the call's gathered inputs and pre-activation
+    gradient (``ParamTensor.keep_factors``), each bias's in its buffer. The
+    pooled-feature gradient goes to the sentence encoding, whose
+    ``backward`` finishes the CNNs.
 
     A hidden layer whose every unit is at +-1 on every input passes no
     gradient to the CNNs; that is a RuntimeError naming the layer.
@@ -464,14 +472,14 @@ def encode_task_backward(grad_h, cache, params: ModelParams):
     grad_pre_ctx = tanh_backward(cache["h_ctx"], grad_h[:, :h_c])
     grad_pre_ent = tanh_backward(cache["h_ent"], grad_h[:, h_c:])
     enc, span_ids = cache["enc"], cache["span_ids"]
-    # the inputs' features are gathered again, not kept from the forward:
-    # the cache then holds no copy of them while the CNNs' backward runs
-    np.matmul(enc.ctx.gather(span_ids).T, grad_pre_ctx, out=ctx_w.grad)
+    # the inputs' features are gathered again, not kept from the forward,
+    # so prediction, which runs no backward, keeps no copy of them
+    ctx_w.keep_factors(enc.ctx.gather(span_ids), grad_pre_ctx)
     np.sum(grad_pre_ctx, axis=0, out=ctx_b.grad)
-    np.matmul(enc.ent.gather(span_ids).T, grad_pre_ent, out=ent_w.grad)
+    ent_w.keep_factors(enc.ent.gather(span_ids), grad_pre_ent)
     np.sum(grad_pre_ent, axis=0, out=ent_b.grad)
-    enc.ctx.add_grad(span_ids, grad_pre_ctx @ ctx_w.value.T)
-    enc.ent.add_grad(span_ids, grad_pre_ent @ ent_w.value.T)
+    enc.ctx.add_grad(span_ids, ctx_w.scaled(grad_pre_ctx) @ ctx_w.stored.T)
+    enc.ent.add_grad(span_ids, ent_w.scaled(grad_pre_ent) @ ent_w.stored.T)
 
 
 def _sentence_spans(queries, offset: int):

@@ -33,6 +33,12 @@ from entrel.querygen import ConfigError
 
 LR_FLOOR = 1e-6  # training stops once halving takes the learning rate below this
 GRAD_CHECK_EPSILON = 1e-5  # central-difference step of grad_check
+# values in the scratch through which sgd_step updates a hidden weight's rows
+STEP_BLOCK = 1 << 18
+# sgd_step folds a hidden weight's scale into its values below this: the
+# values grow as the scale shrinks, (1 - lr * l2) per step, and must not
+# overflow the dtype in a long epoch
+SCALE_FLOOR = 1e-6
 
 
 @dataclass
@@ -49,6 +55,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.learning_rate <= 0 or self.l2 < 0:
             raise ConfigError("batch_size, learning_rate and l2 must be positive")
+        if self.learning_rate * self.l2 >= 1:
+            raise ConfigError("learning_rate * l2 must be below 1, so that the L2 decay "
+                              "factor 1 - learning_rate * l2 stays positive")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be >= 0")
         if self.setup not in (1, 2, 3):
@@ -79,11 +88,12 @@ def query_loss_and_backward(queries, params: ModelParams) -> float:
     """Forward, loss and full backward for a batch of queries in one pass.
 
     Writes the gradient of the batch's mean loss into every trainable
-    tensor's buffer, replacing what it held: the 1/B scale applies to the
-    score and transition gradients before the backward, and no buffer needs
-    clearing first. The first call on a model without buffers, such as an
-    epoch's first batch in train_loop, makes them; frozen embeddings and the
-    softmax baseline's transitions never get one. Returns the summed loss."""
+    tensor, replacing what it held: a hidden weight keeps it as factors, any
+    other tensor in its buffer. The 1/B scale applies to the score and
+    transition gradients before the backward, and no buffer needs clearing
+    first. The first call on a model without buffers, such as an epoch's
+    first batch in train_loop, makes them; frozen embeddings and the softmax
+    baseline's transitions never get a gradient. Returns the summed loss."""
     if not queries:
         raise ValueError("query_loss_and_backward: empty batch (no queries)")
     (losses, grad_d, grad_q), cache = _batch_nll(queries, params)
@@ -95,28 +105,69 @@ def query_loss_and_backward(queries, params: ModelParams) -> float:
     return float(losses.sum())
 
 
+def _finite_gradient(tensor) -> bool:
+    """Whether the gradient that sgd_step applies to ``tensor`` is finite.
+
+    A buffer is, when its min and max are: a NaN reaches both, an infinity
+    one of them. Factors X [B, in] and G [B, out] are, when the bound
+    B * max|X| * max|G| on every entry of X.T @ G lies below the dtype's
+    largest value by a factor of two, the margin for the product's
+    rounding; a NaN or an infinity in either factor fails the bound too.
+    """
+    if tensor.factors is None:
+        return math.isfinite(tensor.grad.min()) and math.isfinite(tensor.grad.max())
+    x, g = tensor.factors
+    bound = len(x) * float(np.abs(x).max()) * float(np.abs(g).max())
+    return bound < float(np.finfo(x.dtype).max) / 2
+
+
 def sgd_step(params: ModelParams, lr: float, l2: float):
     """theta <- theta * (1 - lr * l2) - lr * grad for every trainable tensor,
-    in place; the gradient buffers are left holding lr * grad.
+    in place.
 
-    The gradient buffers hold the batch-mean gradient that
-    query_loss_and_backward wrote, and exist from its first call of the
-    epoch until train_loop frees them as the epoch's batch loop ends; a
-    buffer read before that call is made as zeros. Every gradient is checked
-    before any tensor moves, so a non-finite one leaves the parameters as
-    they were.
+    The gradients are the batch-mean ones that query_loss_and_backward
+    wrote, and exist from its first call of the epoch until train_loop frees
+    them as the epoch's batch loop ends; a buffer read before that call is
+    made as zeros. Every gradient is checked (``_finite_gradient``), in
+    ``trainable_tensors`` order, before any tensor moves, so a non-finite
+    one leaves the parameters as they were.
+
+    A tensor with a gradient buffer steps through it, and the buffer is left
+    holding lr * grad. A hidden weight whose backward kept factors X and G
+    steps in its scaled form W = s * V: the decay becomes s' = s * (1 - lr *
+    l2), and V -= X.T @ G * (lr / s') runs a block of rows at a time through
+    one scratch of STEP_BLOCK values, so neither a dense gradient nor a
+    decay pass touches the weight's values. The factors are left as they
+    were; train_loop folds s into V when the epoch's batch loop ends, and
+    the step itself first folds an s below SCALE_FLOOR.
     """
     trainable = params.trainable_tensors()
     for tensor in trainable:
-        # a NaN reaches both the min and the max; an infinity is one of them
-        if not (math.isfinite(tensor.grad.min()) and math.isfinite(tensor.grad.max())):
+        if not _finite_gradient(tensor):
             raise RuntimeError(f"non-finite gradient in tensor {tensor.name}")
+    decay = 1.0 - lr * l2
+    # a hidden weight is h_c or h_e values wide: a block holds one row at least
+    hyper = params.hyper
+    scratch = np.empty(max(STEP_BLOCK, hyper.h_c, hyper.h_e), dtype=hyper.np_dtype)
     for tensor in trainable:
-        grad = tensor.grad
-        grad *= lr
-        if l2:
-            tensor.value *= 1.0 - lr * l2
-        tensor.value -= grad
+        if tensor.factors is None:
+            grad, value = tensor.grad, tensor.value
+            grad *= lr
+            if l2:
+                value *= decay
+            value -= grad
+            continue
+        x, g = tensor.factors
+        tensor.fold(below=SCALE_FLOOR)
+        tensor.scale *= decay
+        g = g * (lr / tensor.scale)
+        stored = tensor.stored
+        rows = max(1, STEP_BLOCK // stored.shape[1])
+        for start in range(0, len(stored), rows):
+            block = stored[start : start + rows]
+            update = scratch[: block.size].reshape(block.shape)
+            np.matmul(x[:, start : start + rows].T, g, out=update)
+            block -= update
 
 
 def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainConfig,
@@ -131,10 +182,13 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     Each epoch's record is appended to ``log_path`` as the epoch ends.
     Stops at max_epochs or when the learning rate falls below LR_FLOOR.
 
-    Gradient buffers live from an epoch's first backward to the end of its
-    batch loop: they are freed before dev scoring, before the epoch's
-    checkpoint writes, and before a failed batch's error leaves this
-    function, so the model this returns holds values alone.
+    Gradients, buffers and hidden-weight factors alike, live from an
+    epoch's first backward to the end of its batch loop: they are freed,
+    and the hidden weights' scales folded into their values, before dev
+    scoring, before the epoch's checkpoint writes, and before a failed
+    batch's error leaves this function, so the model this returns holds
+    values alone. The failed batch's own save reads each weight's value,
+    which folds its scale, so it writes the same numbers.
 
     A batch whose loss, backward or step fails raises a RuntimeError naming
     the epoch, the batch and its sentences. The parameters are then still

@@ -414,6 +414,26 @@ class TestPredictQueries:
                 alone = predict_queries([subset[i] for i in members], params, masked)
                 assert [preds[i] for i in members] == alone
 
+    def test_packs_hand_each_query_once_and_at_most_pack_queries_per_call(self, monkeypatch):
+        sentences = synth.generate(synth.default_grammar(seed=3), 30)
+        params = make_params(seed=21, sentences=sentences)
+        queries = gen_setup3(sentences)[0]
+        per_sentence = [len(members) for members in model.sentence_groups(queries)]
+        assert max(per_sentence) <= model.PACK_QUERIES < len(queries)
+        calls = []
+        real = model.forward_sentences
+
+        def recording_forward(groups, params):
+            calls.append([query for group in groups for query in group])
+            return real(groups, params)
+
+        monkeypatch.setattr(model, "forward_sentences", recording_forward)
+        predict_queries(queries, params)
+        assert len(calls) > 1
+        assert all(len(call) <= model.PACK_QUERIES for call in calls), [len(c) for c in calls]
+        handed = sorted(id(query) for call in calls for query in call)
+        assert handed == sorted(map(id, queries))
+
     @pytest.mark.parametrize("output_layer", ["crf", "softmax"])
     @pytest.mark.parametrize("masked", [False, True])
     def test_batched_decoding_matches_single_queries(self, output_layer, masked):
@@ -683,6 +703,30 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(tmp_path / "ck")
         for ta, tb in zip(params.all_tensors(), loaded.all_tensors()):
             assert np.array_equal(ta.value, tb.value), ta.name
+
+    def test_tensors_stored_out_of_manifest_order_load_bit_identical(self, tmp_path):
+        """A payload that holds the tensors in reverse order, with manifest
+        offsets to match, loads each tensor from its own offset."""
+        params = make_params(seed=17)
+        save_checkpoint(tmp_path / "ck", params, seed=17)
+        manifest_path, payload_path = tmp_path / "ck/manifest.json", tmp_path / "ck/params.bin"
+        manifest = json.loads(manifest_path.read_text())
+        blob = payload_path.read_bytes()
+        entries = manifest["tensors"]
+        ends = [entry["offset"] for entry in entries[1:]] + [len(blob)]
+        chunks = [blob[entry["offset"] : end] for entry, end in zip(entries, ends)]
+        reordered, offset = [], 0
+        for entry, chunk in reversed(list(zip(entries, chunks))):
+            entry["offset"] = offset
+            reordered.append(chunk)
+            offset += len(chunk)
+        payload_path.write_bytes(b"".join(reordered))
+        manifest_path.write_text(json.dumps(manifest))
+        assert payload_path.read_bytes() != blob
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        for ta, tb in zip(params.all_tensors(), loaded.all_tensors()):
+            assert ta.name == tb.name
+            assert ta.value.tobytes() == tb.value.tobytes(), ta.name
 
     def test_shape_validation(self, tmp_path):
         params = make_params(seed=14)

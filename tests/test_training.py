@@ -98,6 +98,111 @@ class TestSgdStep:
             assert np.array_equal(tensor.value, before[tensor.name]), tensor.name
 
 
+def stepped_model(**hyper_overrides):
+    """A model after one loss, backward and step, with a second batch's
+    backward done: its hidden weights hold factors and a scale other than 1."""
+    params, train_q, *_ = build(n_sentences=20, **hyper_overrides)
+    query_loss_and_backward(train_q[:4], params)
+    sgd_step(params, lr=0.1, l2=1e-3)
+    query_loss_and_backward(train_q[4:8], params)
+    return params
+
+
+def snapshot(params):
+    return {t.name: (t.stored.copy(), t.scale) for t in params.all_tensors()}
+
+
+def assert_unmoved(params, before):
+    for tensor in params.all_tensors():
+        stored, scale = before[tensor.name]
+        assert np.array_equal(tensor.stored, stored) and tensor.scale == scale, tensor.name
+
+
+class TestFactoredStep:
+    @pytest.mark.parametrize("factor", [0, 1], ids=["inputs", "pre_activation_grad"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_factor_names_the_tensor_and_moves_nothing(self, factor, bad):
+        params = stepped_model()
+        params["re_ent_w"].factors[factor][-1, -1] = bad
+        before = snapshot(params)
+        with pytest.raises(RuntimeError, match="^non-finite gradient in tensor re_ent_w$"):
+            sgd_step(params, lr=0.1, l2=1e-3)
+        assert_unmoved(params, before)
+
+    def test_factor_bound_over_float32_names_the_tensor_and_moves_nothing(self):
+        # each product of the factors fits float32, their sum over the batch
+        # does not: every entry of X.T @ G is B * 1e38
+        params = stepped_model(dtype="float32")
+        x, g = params["re_ctx_w"].factors
+        assert len(x) >= 2
+        x[...] = 1e19
+        g[...] = 1e19
+        before = snapshot(params)
+        with pytest.raises(RuntimeError, match="^non-finite gradient in tensor re_ctx_w$"):
+            sgd_step(params, lr=0.1, l2=1e-3)
+        assert_unmoved(params, before)
+
+    def test_grad_of_a_hidden_weight_is_the_factor_product(self):
+        params, train_q, *_ = build(n_sentences=20)
+        query_loss_and_backward(train_q[:6], params)
+        for name in sorted(HIDDEN_WEIGHTS):
+            tensor = params[name]
+            x, g = tensor.factors
+            assert tensor._grad is None, name  # the backward made no buffer
+            assert np.array_equal(tensor.grad, x.T @ g), name
+            assert tensor.grad is tensor.grad and tensor.grad.shape == tensor.shape, name
+
+    def test_grad_read_after_a_second_backward_reflects_it(self):
+        params, train_q, *_ = build(n_sentences=20)
+        fresh, *_ = build(n_sentences=20)
+        query_loss_and_backward(train_q[:4], params)
+        first = {name: params[name].grad.copy() for name in HIDDEN_WEIGHTS}
+        query_loss_and_backward(train_q[4:8], params)
+        query_loss_and_backward(train_q[4:8], fresh)
+        for name in HIDDEN_WEIGHTS:
+            x, g = params[name].factors
+            assert np.array_equal(params[name].grad, x.T @ g), name
+            assert np.array_equal(params[name].grad, fresh[name].grad), name
+            assert not np.array_equal(params[name].grad, first[name]), name
+
+    def test_scaled_steps_match_the_dense_update(self):
+        """Two batches stepped in the scaled form give the weights that the
+        dense update theta * (1 - lr * l2) - lr * grad gives, to rounding,
+        while the scale stays live between the batches."""
+        lr, l2 = 0.1, 0.05
+        params, train_q, *_ = build(n_sentences=20)
+        dense, *_ = build(n_sentences=20)
+        for steps, batch in enumerate((train_q[:4], train_q[4:8]), start=1):
+            query_loss_and_backward(batch, params)
+            sgd_step(params, lr=lr, l2=l2)
+            query_loss_and_backward(batch, dense)
+            for tensor in dense.trainable_tensors():
+                value = tensor.value
+                value *= 1.0 - lr * l2
+                value -= lr * tensor.grad
+            assert params["re_ctx_w"].scale == pytest.approx((1.0 - lr * l2) ** steps)
+        for tensor, reference in zip(params.all_tensors(), dense.all_tensors()):
+            assert np.allclose(tensor.value, reference.value, rtol=1e-12, atol=1e-14), tensor.name
+
+    def test_a_scale_below_the_floor_is_folded_before_the_step(self):
+        params = stepped_model()
+        dense = stepped_model()
+        tensor, reference = params["re_ctx_w"], dense["re_ctx_w"]
+        tiny = training.SCALE_FLOOR / 4
+        tensor.value[...] /= tiny  # the same W, at a scale under the floor
+        tensor.scale = tiny
+        sgd_step(params, lr=0.1, l2=1e-3)
+        assert tensor.scale == 1.0 - 0.1 * 1e-3
+        value = reference.value
+        value *= 1.0 - 0.1 * 1e-3
+        value -= 0.1 * reference.grad
+        assert np.allclose(tensor.value, reference.value, rtol=1e-12, atol=1e-14)
+
+    def test_learning_rate_times_l2_of_one_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="learning_rate \\* l2 must be below 1"):
+            TrainConfig(learning_rate=0.5, l2=2.0)
+
+
 def shared_sentence_batch():
     """Queries over three sentences of build()'s corpus, two of them over one
     sentence, and one query twice."""
@@ -157,15 +262,19 @@ class TestBatchedLossAndBackward:
         ("crf", True), ("crf", False), ("softmax", True)])
     def test_first_backward_makes_the_trainable_buffers_only(self, output_layer, trainable):
         """Frozen embeddings and the softmax baseline's transitions never
-        get a gradient buffer; every trainable tensor gets one."""
+        get a gradient; at step time the four hidden weights hold factors
+        and no buffer, and every other trainable tensor holds a buffer."""
         params, train_q, *_ = build(n_sentences=20, trainable=trainable,
                                     output_layer=output_layer)
         query_loss_and_backward(train_q[:6], params)
         sgd_step(params, lr=0.1, l2=1e-3)
-        buffered = {t.name for t in params.all_tensors() if t._grad is not None}
-        assert buffered == {t.name for t in params.trainable_tensors()}
-        assert ("embeddings" in buffered) == trainable
-        assert ("transitions" in buffered) == (output_layer == "crf")
+        names = {t.name for t in params.trainable_tensors()}
+        assert set(factored(params)) == HIDDEN_WEIGHTS
+        assert set(buffered(params)) == names - HIDDEN_WEIGHTS
+        assert ("embeddings" in buffered(params)) == trainable
+        assert ("transitions" in buffered(params)) == (output_layer == "crf")
+        # the step decays the hidden weights through their scales
+        assert {t.name for t in params.all_tensors() if t.scale != 1.0} == HIDDEN_WEIGHTS
 
     def test_empty_batch_is_named_before_the_encoder_runs(self, monkeypatch):
         params, *_ = build()
@@ -252,6 +361,14 @@ def buffered(params):
     return [tensor.name for tensor in params.all_tensors() if tensor._grad is not None]
 
 
+HIDDEN_WEIGHTS = {"ec_ctx_w", "ec_ent_w", "re_ctx_w", "re_ent_w"}
+
+
+def factored(params):
+    """Names of the tensors that hold their gradient as factors."""
+    return [tensor.name for tensor in params.all_tensors() if tensor.factors is not None]
+
+
 class TestGradientBufferLifetime:
     """A buffer lives from an epoch's first backward to the end of its batch
     loop."""
@@ -262,13 +379,21 @@ class TestGradientBufferLifetime:
               tmp_path)
         assert buffered(params) == []
 
+    def test_no_factors_and_no_scale_after_train_loop_returns(self, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
+        train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=2, seed=1, batch_size=4),
+              tmp_path)
+        assert factored(params) == []
+        assert all(tensor.scale == 1.0 for tensor in params.all_tensors())
+
     def test_none_after_a_failed_batch_is_raised(self, monkeypatch, tmp_path):
         params, train_q, dev_q, dev_s = build(n_sentences=20)
         steps = []
         real_step = training.sgd_step
 
         def poisoning_step(params, lr, l2):
-            steps.append(buffered(params))
+            steps.append((buffered(params), factored(params),
+                          {t.name for t in params.all_tensors() if t.scale != 1.0}))
             if len(steps) == 3:
                 params["ec_out"].grad[0, 0] = np.inf
             real_step(params, lr, l2)
@@ -277,8 +402,13 @@ class TestGradientBufferLifetime:
         with pytest.raises(RuntimeError, match="^epoch 1, batch 3 "):
             train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=1, seed=1, batch_size=4),
                   tmp_path)
-        assert steps[-1] == [t.name for t in params.trainable_tensors()]
+        names = [t.name for t in params.trainable_tensors()]
+        assert steps[-1] == ([name for name in names if name not in HIDDEN_WEIGHTS],
+                             [name for name in names if name in HIDDEN_WEIGHTS],
+                             HIDDEN_WEIGHTS)
         assert buffered(params) == []
+        assert factored(params) == []
+        assert all(tensor.scale == 1.0 for tensor in params.all_tensors())
 
     def test_dev_scoring_and_checkpoint_writes_find_none(self, monkeypatch, tmp_path):
         params, train_q, dev_q, dev_s = build(n_sentences=20)
@@ -300,6 +430,21 @@ class TestGradientBufferLifetime:
         kinds = [kind for kind, _ in seen]
         assert kinds.count("predict") == 2 and "save" in kinds
         assert all(names == [] for _, names in seen), seen
+
+    def test_dev_scoring_finds_no_factors_and_no_scale(self, monkeypatch, tmp_path):
+        params, train_q, dev_q, dev_s = build(n_sentences=20)
+        seen = []
+        real_predict = training.predict_queries
+
+        def recording_predict(queries, params, masked=False):
+            seen.append((factored(params), [t.name for t in params.all_tensors()
+                                            if t.scale != 1.0]))
+            return real_predict(queries, params, masked)
+
+        monkeypatch.setattr(training, "predict_queries", recording_predict)
+        train(params, train_q, dev_q, dev_s, TrainConfig(max_epochs=2, seed=1, batch_size=4),
+              tmp_path)
+        assert seen == [([], []), ([], [])]
 
 
 class TestTrainLoop:
