@@ -21,14 +21,13 @@ class TransitionReport:
     edges: list  # TransitionEdge sorted by descending score
 
 
-def inspect_transitions(q, label_space: LabelSpace | None = None,
-                        threshold: float = 0.5) -> TransitionReport:
+def inspect_transitions(q, threshold: float = 0.5) -> TransitionReport:
     """All transition-matrix cells with score above the threshold.
 
     Begin/end rows are included but flagged so reports can separate learned
     class-to-class correlations from boundary effects.
     """
-    ls = label_space or LabelSpace()
+    ls = LabelSpace()
     size = ls.size_with_tags
     if q.shape != (size, size):
         raise ValueError(f"transition matrix shape {q.shape}, expected {(size, size)}")

@@ -179,15 +179,14 @@ def cmd_eval(args) -> int:
     params, _ = model.load_checkpoint(args.checkpoint)
     sentences = load_canonical(args.corpus)
     queries = _generate_queries(sentences, args.setup)
-    ls = params.label_space
     if args.oracle:
-        preds = [model.gold_indices(q, ls) for q in queries]
+        preds = [model.gold_indices(q) for q in queries]
     else:
         with _running(args.checkpoint):
             preds = model.predict_queries(queries, params, args.masked_decode)
-    report = evaluation.score_queries(queries, preds, args.setup, ls,
+    report = evaluation.score_queries(queries, preds, args.setup, params.label_space,
                                       sentences, args.omit_other)
-    text = evaluation.format_report(report, ls)
+    text = evaluation.format_report(report)
     print(text)
     if args.out:
         out_dir = Path(args.out)
@@ -252,8 +251,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_inspect_transitions(args) -> int:
     params, _ = model.load_checkpoint(args.checkpoint)
-    report = analysis.inspect_transitions(params.transitions.value,
-                                          params.label_space, args.threshold)
+    report = analysis.inspect_transitions(params.transitions.value, args.threshold)
     print(f"transitions above {report.threshold}: {len(report.edges)}")
     for edge in report.edges:
         tag = " [tag]" if edge.involves_tag else ""

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from entrel.analysis import DisagreementStats, disagreement_report
-from entrel.corpus import NO_RELATION, LabelSpace, related_pairs
+from entrel.corpus import EC_LABELS, NO_RELATION, RE_LABELS, LabelSpace, related_pairs
 
 
 @dataclass
@@ -89,27 +89,25 @@ def _mean(values):
     return sum(values) / len(values) if values else None
 
 
-def macro_and_avg(ec_f1: dict, re_f1: dict, label_space: LabelSpace | None = None,
-                  omit_other: bool = False):
+def macro_and_avg(ec_f1: dict, re_f1: dict, omit_other: bool = False):
     """(Avg EC, Avg RE, Avg EC+RE) from per-class F1 maps.
 
     O and N never participate; absent classes (value None) are skipped.
     omit_other additionally drops the entity class "Other".
     """
-    ls = label_space or LabelSpace()
-    ec_classes = [c for c in ls.ec_labels if c != "O" and not (omit_other and c == "Other")]
-    re_classes = [c for c in ls.re_labels if c != NO_RELATION]
+    ec_classes = [c for c in EC_LABELS if c != "O" and not (omit_other and c == "Other")]
+    re_classes = [c for c in RE_LABELS if c != NO_RELATION]
     avg_ec = _mean([ec_f1.get(c) for c in ec_classes])
     avg_re = _mean([re_f1.get(c) for c in re_classes])
     avg_both = _mean([avg_ec, avg_re])
     return avg_ec, avg_re, avg_both
 
 
-def majority_vote(votes, label_space: LabelSpace | None = None) -> str:
+def majority_vote(votes) -> str:
     """Most frequent label; ties break by canonical label order."""
     if not votes:
         raise ValueError("majority_vote needs at least one vote")
-    return _majority(votes, (label_space or LabelSpace()).unified)
+    return _majority(votes, LabelSpace().unified)
 
 
 def _majority(votes, order=None):
@@ -154,30 +152,27 @@ def _disagreement(voted):
                                 for _, majority, votes in spans.values()])
 
 
-def _report_from_decisions(ec_decisions, re_decisions, ls, omit_other, diagnostics):
-    re_classes = [cls for cls in ls.re_labels if cls != NO_RELATION]
+def _report_from_decisions(ec_decisions, re_decisions, omit_other, diagnostics):
+    re_classes = [cls for cls in RE_LABELS if cls != NO_RELATION]
     counts = {}
-    for decisions, classes in ((ec_decisions, ls.ec_labels), (re_decisions, re_classes)):
+    for decisions, classes in ((ec_decisions, EC_LABELS), (re_decisions, re_classes)):
         predictions, golds = zip(*decisions) if decisions else ((), ())
         counts.update(class_counts(predictions, golds, classes))
-    ec_f1 = {cls: counts[cls].f1 for cls in ls.ec_labels}
+    ec_f1 = {cls: counts[cls].f1 for cls in EC_LABELS}
     re_f1 = {cls: counts[cls].f1 for cls in re_classes}
-    avg_ec, avg_re, avg_both = macro_and_avg(ec_f1, re_f1, ls, omit_other)
+    avg_ec, avg_re, avg_both = macro_and_avg(ec_f1, re_f1, omit_other)
     return MetricsReport(ec_f1, re_f1, avg_ec, avg_re, avg_both, counts, diagnostics)
 
 
-def score_paired(queries, predictions, label_space: LabelSpace | None = None,
-                 omit_other: bool = False) -> MetricsReport:
+def score_paired(queries, predictions, omit_other: bool = False) -> MetricsReport:
     """Setup 1/2 scoring: majority-voted entity decisions, per-pair relations."""
-    ls = label_space or LabelSpace()
     voted = _entity_votes(queries, predictions)
-    names = ls.class_labels
+    names = EC_LABELS + RE_LABELS
     ec_decisions = [(names[majority], gold) for spans in voted.values()
                     for gold, majority, _ in spans.values()]
     re_decisions = [(names[pred[1]], query.gold_rel)
                     for query, pred in zip(queries, predictions)]
-    return _report_from_decisions(ec_decisions, re_decisions, ls, omit_other,
-                                  _disagreement(voted))
+    return _report_from_decisions(ec_decisions, re_decisions, omit_other, _disagreement(voted))
 
 
 @dataclass
@@ -189,8 +184,8 @@ class PredictedTable:
     rel_by_cell: dict  # (i, j) token pair, i < j -> relation label (may be N)
 
 
-def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
-                 omit_other: bool = False, diagnostics: DisagreementStats | None = None) -> MetricsReport:
+def score_setup3(tables: dict, sentences, omit_other: bool = False,
+                 diagnostics: DisagreementStats | None = None) -> MetricsReport:
     """Relaxed token-table scoring.
 
     A gold relation is a true positive iff at least one of its comprising
@@ -203,7 +198,6 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
     The gold pairs and their labels are corpus.related_pairs of each
     sentence, the rule querygen labels the queries' cells with.
     """
-    ls = label_space or LabelSpace()
     ec_decisions = []
     re_decisions = []
     empty = PredictedTable("", {}, {})
@@ -221,7 +215,7 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
             else:
                 wrong = [v for v in votes if v != "O"]
                 if wrong:
-                    ec_decisions.append((majority_vote(wrong, ls), ent.type))
+                    ec_decisions.append((majority_vote(wrong), ent.type))
                 else:
                     ec_decisions.append(("O", ent.type))
         for t, label in ec_by_token.items():
@@ -244,23 +238,25 @@ def score_setup3(tables: dict, sentences, label_space: LabelSpace | None = None,
             if gold_label in labels:
                 re_decisions.append((gold_label, gold_label))
             elif labels:
-                re_decisions.append((majority_vote(labels, ls), gold_label))
+                re_decisions.append((majority_vote(labels), gold_label))
             else:
                 re_decisions.append((NO_RELATION, gold_label))
-    return _report_from_decisions(ec_decisions, re_decisions, ls, omit_other, diagnostics)
+    return _report_from_decisions(ec_decisions, re_decisions, omit_other, diagnostics)
 
 
 def score_queries(queries, predictions, setup: int, label_space: LabelSpace,
                   sentences, omit_other: bool = False) -> MetricsReport:
     """Setup-aware scoring entry point used by training and the CLI, over
-    ``sentences``, the corpus the queries came from."""
-    ls = label_space
+    ``sentences``, the corpus the queries came from.
+
+    ``label_space`` is always ``LabelSpace()``; it stays a parameter only
+    because the benchmark passes it (perfbench/bench_workloads.py:443)."""
     if setup in (1, 2):
-        return score_paired(queries, predictions, ls, omit_other)
+        return score_paired(queries, predictions, omit_other)
     if setup == 3:
         voted = _entity_votes(queries, predictions)
-        names = ls.class_labels
-        no_relation, other = ls.unified(NO_RELATION), ls.unified("O")
+        names = label_space.class_labels
+        no_relation, other = label_space.unified(NO_RELATION), label_space.unified("O")
         # the tables hold only the tokens voted other than O and the cells
         # predicted other than N: score_setup3 reads the rest as O and N
         tables = {sid: PredictedTable(sid, {span[0]: names[majority]
@@ -271,24 +267,23 @@ def score_queries(queries, predictions, setup: int, label_space: LabelSpace,
             if rel != no_relation:
                 cell = (query.span_i[0], query.span_j[0])
                 tables[query.sentence_id].rel_by_cell[cell] = names[rel]
-        return score_setup3(tables, sentences, ls, omit_other, _disagreement(voted))
+        return score_setup3(tables, sentences, omit_other, _disagreement(voted))
     raise ValueError(f"unknown setup {setup}")
 
 
-def format_report(report: MetricsReport, label_space: LabelSpace | None = None) -> str:
+def format_report(report: MetricsReport) -> str:
     """Aligned plain-text table in the per-class / Avg row layout."""
-    ls = label_space or LabelSpace()
 
     def fmt(value):
         return "  absent" if value is None else f"{100 * value:8.2f}"
 
     lines = []
-    for cls in ls.ec_labels:
+    for cls in EC_LABELS:
         if cls == "O":
             continue
         lines.append(f"{cls:<12}{fmt(report.ec_f1.get(cls))}")
     lines.append(f"{'Avg EC':<12}{fmt(report.avg_ec)}")
-    for cls in ls.re_labels:
+    for cls in RE_LABELS:
         if cls == NO_RELATION:
             continue
         lines.append(f"{cls:<12}{fmt(report.re_f1.get(cls))}")

@@ -159,8 +159,6 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     legitimately tiny (or structurally zero) do not blow the ratio up on
     float rounding noise.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     num = float(np.max(np.abs(a - b))) if a.size else 0.0
     den = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0,
               float(np.max(np.abs(b))) if b.size else 0.0)

@@ -158,6 +158,7 @@ class ModelParams:
     def __init__(self, hyper: HyperParams, label_space: LabelSpace,
                  embeddings: EmbeddingTable, tensors: dict):
         self.hyper = hyper
+        # always LabelSpace(); the benchmark reads it (perfbench/bench_workloads.py:428)
         self.label_space = label_space
         self.embeddings = embeddings
         self._tensors = tensors
@@ -214,9 +215,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def tensor_shapes(hyper: HyperParams, label_space: LabelSpace, n_emb_rows: int):
+def tensor_shapes(hyper: HyperParams, n_emb_rows: int):
     """Ordered (name, shape) pairs for every tensor in the model."""
-    n = label_space.n_classes
+    ls = LabelSpace()
+    n = ls.n_classes
     shapes = [
         ("embeddings", (n_emb_rows, hyper.emb_dim)),
         ("ctx_filters", (hyper.nk_c, hyper.ctx_width, hyper.emb_dim)),
@@ -234,13 +236,16 @@ def tensor_shapes(hyper: HyperParams, label_space: LabelSpace, n_emb_rows: int):
                 (f"{task}_out", (hyper.h_c + hyper.h_e, n)),
             ]
         )
-    shapes.append(("transitions", (label_space.size_with_tags, label_space.size_with_tags)))
+    shapes.append(("transitions", (ls.size_with_tags, ls.size_with_tags)))
     return shapes
 
 
 def init_params(hyper: HyperParams, label_space: LabelSpace,
                 embeddings: EmbeddingTable, seed: int) -> ModelParams:
-    """Deterministic init: scaled-uniform weights, zero biases, zero Q."""
+    """Deterministic init: scaled-uniform weights, zero biases, zero Q.
+
+    ``label_space`` is always ``LabelSpace()``; it stays a parameter only
+    because the benchmark passes it (perfbench/bench_workloads.py:275)."""
     rng = np.random.default_rng(seed)
     dtype = hyper.np_dtype
     if embeddings.dim != hyper.emb_dim:
@@ -249,7 +254,7 @@ def init_params(hyper: HyperParams, label_space: LabelSpace,
         )
     embeddings.matrix = embeddings.matrix.astype(dtype, copy=False)
     tensors = {}
-    for name, shape in tensor_shapes(hyper, label_space, embeddings.n_rows):
+    for name, shape in tensor_shapes(hyper, embeddings.n_rows):
         if name == "embeddings":
             value = embeddings.matrix
         elif name.endswith(("_bias", "_b")) or name == "transitions":
@@ -367,7 +372,6 @@ class _CnnPass:
         and the embedding lookup: one call of each per pass. Writes the
         filter and bias gradients and adds the embedding rows' gradients."""
         grad_conv = kmax_pool_backward(self.grad_pooled, self.sel, self.conv_rows)
-        self.grad_pooled = None
         grad_mat, grad_filters, grad_bias = conv1d_backward(grad_conv, self.mat, self.filters.value)
         self.filters.grad[...] = grad_filters
         self.bias.grad[...] = grad_bias
@@ -552,12 +556,9 @@ def backward_query(grad_d, cache, params: ModelParams):
     cache["enc"].backward(params)
 
 
-def gold_indices(query: Query, label_space: LabelSpace):
-    return (
-        label_space.unified(query.gold_t1),
-        label_space.unified(query.gold_rel),
-        label_space.unified(query.gold_t2),
-    )
+def gold_indices(query: Query):
+    unified = LabelSpace().unified
+    return unified(query.gold_t1), unified(query.gold_rel), unified(query.gold_t2)
 
 
 def output_chain(params: ModelParams, masked: bool = False):
@@ -735,7 +736,7 @@ def load_checkpoint(directory):
     entries = {entry["name"]: entry for entry in manifest["tensors"]}
     emb_shape = entries["embeddings"]["shape"] if "embeddings" in entries else []
     n_emb_rows = emb_shape[0] if emb_shape else 0
-    expected = dict(tensor_shapes(hyper, ls, n_emb_rows))
+    expected = dict(tensor_shapes(hyper, n_emb_rows))
     _check_keys(manifest_path, "manifest", entries, dict.fromkeys(expected), kind="tensor")
     for name, shape in expected.items():
         _require(manifest_path, tuple(entries[name]["shape"]) == shape,

@@ -79,7 +79,7 @@ def _batch_nll(queries, params: ModelParams):
     rows grouped by sentence."""
     groups = [[queries[i] for i in members] for members in sentence_groups(queries)]
     d, cache = forward_sentences(groups, params)
-    gold = [gold_indices(query, params.label_space) for group in groups for query in group]
+    gold = [gold_indices(query) for group in groups for query in group]
     q, allowed = output_chain(params)
     return crf.nll_and_gradients(d, q, gold, allowed), cache
 
@@ -171,7 +171,7 @@ def sgd_step(params: ModelParams, lr: float, l2: float):
 
 
 def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainConfig,
-               out_dir, dev_sentences, log_path) -> TrainState:
+               out_dir: Path, dev_sentences, log_path) -> TrainState:
     """Epochs of seeded shuffled mini-batches with dev-driven lr halving.
 
     After each epoch the dev Avg EC+RE is computed over ``dev_sentences``;
@@ -198,8 +198,6 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
     """
     if not train_queries:
         raise ConfigError("empty train set")
-    ls = params.label_space
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     Path(log_path).write_text("", encoding="utf-8")
     state = TrainState(lr=config.learning_rate)
@@ -229,7 +227,8 @@ def train_loop(params: ModelParams, train_queries, dev_queries, config: TrainCon
         report = None
         if dev_queries:
             preds = predict_queries(dev_queries, params, config.masked_decode)
-            report = score_queries(dev_queries, preds, config.setup, ls, dev_sentences)
+            report = score_queries(dev_queries, preds, config.setup, params.label_space,
+                                   dev_sentences)
             metric = report.avg_ec_re if report.avg_ec_re is not None else 0.0
 
         improved = bool(dev_queries) and (state.best_metric is None

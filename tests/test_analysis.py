@@ -4,47 +4,46 @@ import numpy as np
 import pytest
 
 from entrel.analysis import disagreement_report, inspect_transitions
-from entrel.corpus import LabelSpace
 
 
 class TestInspectTransitions:
-    def test_zero_matrix_empty_report(self, label_space):
-        report = inspect_transitions(np.zeros((13, 13)), label_space)
+    def test_zero_matrix_empty_report(self):
+        report = inspect_transitions(np.zeros((13, 13)))
         assert report.edges == []
 
-    def test_threshold_minus_inf_lists_all_169(self, label_space):
+    def test_threshold_minus_inf_lists_all_169(self):
         rng = np.random.default_rng(0)
         q = rng.normal(size=(13, 13))
-        report = inspect_transitions(q, label_space, threshold=-1e9)
+        report = inspect_transitions(q, threshold=-1e9)
         assert len(report.edges) == 169
 
-    def test_monotone_in_threshold(self, label_space):
+    def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         q = rng.normal(size=(13, 13))
-        low = {(e.from_label, e.to_label) for e in inspect_transitions(q, label_space, 0.1).edges}
-        high = {(e.from_label, e.to_label) for e in inspect_transitions(q, label_space, 0.9).edges}
+        low = {(e.from_label, e.to_label) for e in inspect_transitions(q, 0.1).edges}
+        high = {(e.from_label, e.to_label) for e in inspect_transitions(q, 0.9).edges}
         assert high <= low
 
-    def test_sorted_descending_and_thresholded(self, label_space):
+    def test_sorted_descending_and_thresholded(self):
         rng = np.random.default_rng(2)
         q = rng.normal(size=(13, 13))
-        report = inspect_transitions(q, label_space, 0.5)
+        report = inspect_transitions(q, 0.5)
         scores = [e.score for e in report.edges]
         assert scores == sorted(scores, reverse=True)
         assert all(s > 0.5 for s in scores)
 
-    def test_tag_rows_flagged(self, label_space):
+    def test_tag_rows_flagged(self):
         q = np.zeros((13, 13))
         q[11, 0] = 1.0  # begin -> Peop
         q[5, 2] = 1.0  # Located_in -> Loc
-        report = inspect_transitions(q, label_space, 0.5)
+        report = inspect_transitions(q, 0.5)
         by_pair = {(e.from_label, e.to_label): e for e in report.edges}
         assert by_pair[("<begin>", "Peop")].involves_tag
         assert not by_pair[("Located_in", "Loc")].involves_tag
 
-    def test_wrong_shape_rejected(self, label_space):
+    def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            inspect_transitions(np.zeros((11, 11)), label_space)
+            inspect_transitions(np.zeros((11, 11)))
 
 
 class TestDisagreementReport:

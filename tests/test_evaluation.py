@@ -133,15 +133,15 @@ class TestMajorityVote:
             majority_vote([])
 
 
-def perfect_predictions(queries, ls):
-    return [gold_indices(q, ls) for q in queries]
+def perfect_predictions(queries):
+    return [gold_indices(q) for q in queries]
 
 
 class TestScorePaired:
-    def test_perfect_setup1(self, label_space):
+    def test_perfect_setup1(self):
         sentences = synth.generate(synth.default_grammar(seed=4), 80)
         queries = gen_setup1(sentences)
-        report = score_paired(queries, perfect_predictions(queries, label_space))
+        report = score_paired(queries, perfect_predictions(queries))
         for cls, value in {**report.ec_f1, **report.re_f1}.items():
             if value is not None:
                 assert value == 1.0, cls
@@ -151,8 +151,7 @@ class TestScorePaired:
     def test_perfect_setup2(self, label_space):
         sentences = synth.generate(synth.default_grammar(seed=5), 15)
         queries, _ = gen_setup2(sentences)
-        report = score_queries(queries, perfect_predictions(queries, label_space), 2,
-                               label_space, sentences)
+        report = score_queries(queries, perfect_predictions(queries), 2, label_space, sentences)
         assert report.avg_ec_re == 1.0
 
     def test_majority_vote_aggregation(self, label_space):
@@ -165,9 +164,9 @@ class TestScorePaired:
         )
         queries = gen_setup1([sent])  # pairs (per1,loc1), (per1,org1), (loc1,org1)
         ls = label_space
-        preds = perfect_predictions(queries, ls)
+        preds = perfect_predictions(queries)
         preds[0] = (ls.unified("Loc"), preds[0][1], preds[0][2])  # one bad vote for per1
-        report = score_paired(queries, preds, ls)
+        report = score_paired(queries, preds)
         assert report.ec_f1["Peop"] == 1.0  # majority still Peop
         assert report.disagreement.n_disagreeing == 1
 
@@ -181,7 +180,7 @@ class TestScorePaired:
         (query,) = gen_setup1([sent])
         ls = label_space
         preds = [(ls.unified("Kill"), ls.unified("N"), ls.unified("Loc"))]
-        report = score_paired([query], preds, ls)
+        report = score_paired([query], preds)
         assert report.ec_f1["Peop"] == 0.0  # FN for Peop, no EC class gets the FP
 
 
@@ -250,40 +249,40 @@ class TestScoreSetup3:
             [RelationAnnotation(0, 1, "Live_in")],
         )
 
-    def test_one_of_two_cells_correct_is_tp(self, label_space):
+    def test_one_of_two_cells_correct_is_tp(self):
         sent = self.make_pair_sentence()
         table = PredictedTable(
             "p",
             {0: "Peop", 3: "Loc", 4: "Loc"},
             {(0, 3): "N", (0, 4): "Live_in"},
         )
-        report = score_setup3({"p": table}, [sent], label_space)
+        report = score_setup3({"p": table}, [sent])
         assert report.re_f1["Live_in"] == 1.0
 
-    def test_empty_table_zero_recall(self, label_space):
+    def test_empty_table_zero_recall(self):
         sent = self.make_pair_sentence()
-        report = score_setup3({}, [sent], label_space)
+        report = score_setup3({}, [sent])
         assert report.re_f1["Live_in"] == 0.0
         assert report.counts["Live_in"].fn == 1
 
-    def test_entity_at_least_one_token(self, label_space):
+    def test_entity_at_least_one_token(self):
         sent = self.make_pair_sentence()
         table = PredictedTable("p", {0: "Peop", 3: "O", 4: "Loc"}, {(0, 4): "Live_in"})
-        report = score_setup3({"p": table}, [sent], label_space)
+        report = score_setup3({"p": table}, [sent])
         assert report.ec_f1["Loc"] == 1.0
 
-    def test_collapsed_fp_for_wrong_pair_prediction(self, label_space):
+    def test_collapsed_fp_for_wrong_pair_prediction(self):
         sent = self.make_pair_sentence()
         table = PredictedTable("p", {}, {(0, 3): "Kill", (0, 4): "Kill"})
-        report = score_setup3({"p": table}, [sent], label_space)
+        report = score_setup3({"p": table}, [sent])
         # both wrong cells over one gold pair collapse to a single decision
         assert report.counts["Kill"].fp == 1
         assert report.counts["Live_in"].fn == 1
 
-    def test_stray_cell_fp_per_cell(self, label_space):
+    def test_stray_cell_fp_per_cell(self):
         sent = Sentence("s", ["a", "b", "c"], [], [])
         table = PredictedTable("s", {}, {(0, 1): "Kill", (1, 2): "Kill"})
-        report = score_setup3({"s": table}, [sent], label_space)
+        report = score_setup3({"s": table}, [sent])
         assert report.counts["Kill"].fp == 2
 
     def test_random_tables_match_enumeration_oracle(self, label_space):
@@ -321,7 +320,7 @@ class TestScoreSetup3:
             table.rel_by_cell[(0, 3)] = label
             inputs.append(({shared.id: table}, [shared]))
         for tables, subset in inputs:
-            report = score_setup3(tables, subset, ls)
+            report = score_setup3(tables, subset)
             oracle = setup3_oracle(tables, subset, ls)
             for cls in ls.ec_labels + ls.re_labels:
                 if cls in ("O", NO_RELATION):
@@ -333,7 +332,7 @@ class TestScoreSetup3:
     def test_perfect_setup3_from_queries(self, label_space):
         sentences = synth.generate(synth.default_grammar(seed=9), 10)
         queries, _ = gen_setup3(sentences)
-        preds = perfect_predictions(queries, label_space)
+        preds = perfect_predictions(queries)
         report = score_queries(queries, preds, 3, label_space, sentences)
         assert report.avg_ec_re == 1.0
 
@@ -342,8 +341,7 @@ class TestScoreSetup3:
         # sentence's entities and relation are all missed
         sentences = synth.generate(synth.default_grammar(seed=9), 2)
         queries = [q for q in gen_setup3(sentences)[0] if q.sentence is sentences[0]]
-        report = score_queries(queries, perfect_predictions(queries, label_space), 3,
-                               label_space, sentences)
+        report = score_queries(queries, perfect_predictions(queries), 3, label_space, sentences)
         missed = Counter(ent.type for ent in sentences[1].entities)
         missed.update(related_pairs(sentences[1]).values())
         assert missed
@@ -392,7 +390,7 @@ class TestScoreQueries:
                 table.rel_by_cell[(query.span_i[0], query.span_j[0])] = ls.class_labels[pred[1]]
             for (sid, span), (_, majority, _) in voted.items():
                 tables[sid].ec_by_token[span[0]] = majority
-            expected = score_setup3(tables, sentences, ls, diagnostics=stats)
+            expected = score_setup3(tables, sentences, diagnostics=stats)
         else:
             re_classes = [cls for cls in ls.re_labels if cls != NO_RELATION]
             counts = class_counts([m for _, m, _ in voted.values()],
@@ -401,26 +399,26 @@ class TestScoreQueries:
                                        [q.gold_rel for q in queries], re_classes))
             ec_f1 = {cls: counts[cls].f1 for cls in ls.ec_labels}
             re_f1 = {cls: counts[cls].f1 for cls in re_classes}
-            expected = MetricsReport(ec_f1, re_f1, *macro_and_avg(ec_f1, re_f1, ls), counts, stats)
+            expected = MetricsReport(ec_f1, re_f1, *macro_and_avg(ec_f1, re_f1), counts, stats)
         report = score_queries(queries, preds, setup, ls, sentences)
         assert report.as_dict() == expected.as_dict()
 
 
 class TestReportFormat:
-    def test_contains_all_rows(self, label_space):
+    def test_contains_all_rows(self):
         sentences = synth.generate(synth.default_grammar(seed=10), 30)
         queries = gen_setup1(sentences)
-        report = score_paired(queries, perfect_predictions(queries, label_space))
-        text = format_report(report, label_space)
+        report = score_paired(queries, perfect_predictions(queries))
+        text = format_report(report)
         for row in ("Peop", "Org", "Loc", "Other", "Avg EC", "Located_in", "Work_for",
                     "OrgBased_in", "Live_in", "Kill", "Avg RE", "Avg EC+RE"):
             assert row in text
 
-    def test_as_dict_round_trips_json(self, label_space):
+    def test_as_dict_round_trips_json(self):
         import json
 
         sentences = synth.generate(synth.default_grammar(seed=11), 10)
         queries = gen_setup1(sentences)
-        report = score_paired(queries, perfect_predictions(queries, label_space))
+        report = score_paired(queries, perfect_predictions(queries))
         blob = json.dumps(report.as_dict())
         assert json.loads(blob)["avg_ec_re"] == 1.0

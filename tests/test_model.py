@@ -507,7 +507,7 @@ def softmax_distributions(query, params):
     """The baseline's three task-slice distributions, read off the training
     loss gradient (probabilities minus the gold one-hot), and the scores d."""
     d, _ = forward_query(query, params)
-    gold = gold_indices(query, params.label_space)
+    gold = gold_indices(query)
     _, grad = chain_loss_and_grad(d, params, gold)
     for row, target in enumerate(gold):
         grad[row, target] += 1.0
@@ -630,7 +630,7 @@ class TestBackward:
     def test_full_crf_loss_matches_finite_differences(self):
         params = make_params()
         query = make_query()
-        gold = gold_indices(query, params.label_space)
+        gold = gold_indices(query)
 
         def objective():
             d, _ = forward_query(query, params)
@@ -683,9 +683,9 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a", params, seed=13)
         save_checkpoint(tmp_path / "b", params, seed=13)
         assert (tmp_path / "a/params.bin").read_bytes() == (tmp_path / "b/params.bin").read_bytes()
-        assert (tmp_path / "a/manifest.json").read_bytes() == (
-            tmp_path / "b/manifest.json"
-        ).read_bytes()
+        manifest = (tmp_path / "a/manifest.json").read_bytes()
+        assert manifest == (tmp_path / "b/manifest.json").read_bytes()
+        assert manifest.endswith(b"\n") and not manifest.endswith(b"\n\n")
 
     def test_save_holds_no_copy_of_the_payload(self, tmp_path):
         """An s2-size float32 model is written from its tensors' own buffers:
